@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .closure import closure_multid, decompose_measure
 from .decider import decide
-from .exactreal import format_coordinate
+from .exactreal import format_coordinate, format_point
 from .measures import MeasureSpecError, parse_measure, support_of
 from .numerics import OperatorEvaluator, builtin_function, density_probe, eval_operator, propagate
 
@@ -36,10 +36,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
-
-
-def _point_str(p) -> str:
-    return "(" + ", ".join(format_coordinate(c) for c in p) + ")"
 
 
 class Report:
@@ -141,13 +137,13 @@ def _verdict_report(text, verdict, args) -> Report:
         s.add("v_dimension", verdict.closure.v_dim)
         s.add("lattice_rank", verdict.closure.lattice_rank)
         for v in verdict.closure.v_basis:
-            s.add("v_basis_vector", _point_str(v))
+            s.add("v_basis_vector", format_point(v))
         for v in verdict.closure.lambda_basis:
-            s.add("lattice_basis_vector", _point_str(v))
+            s.add("lattice_basis_vector", format_point(v))
     if verdict.certificate is not None:
         s = r.section("hyperplane_certificate")
-        s.add("normal", _point_str(verdict.certificate.normal))
-        s.add("c", _point_str(verdict.certificate.c))
+        s.add("normal", format_point(verdict.certificate.normal))
+        s.add("c", format_point(verdict.certificate.c))
         s.add("exact", verdict.certificate.exact)
     if verdict.counterexample is not None:
         s = r.section("counterexample")
@@ -159,16 +155,17 @@ def _verdict_report(text, verdict, args) -> Report:
         if isinstance(w, dict):
             for k, v in w.items():
                 if k == "pair" and v:
-                    s.add("pair", "(" + ", ".join(format_coordinate(c) for c in v) + ")")
+                    s.add("pair", format_point(v))
                 elif k == "samples":
                     s.add("q_samples", [f"n={n}:q={q}" for n, q in v])
                 elif k == "c":
-                    s.add("kronecker_c", _point_str(v))
+                    for c in v:
+                        s.add("kronecker_c", format_point(c))
                 elif k == "dependency" and v:
                     s.add("dependency", [str(x) for x in v])
                 elif k == "accumulation_points":
                     for p in v:
-                        s.add("accumulation_point", _point_str(p))
+                        s.add("accumulation_point", format_point(p))
                 else:
                     s.add(k, str(v))
         else:
@@ -208,9 +205,9 @@ def cmd_closure(args) -> int:
     r.add("v_dimension", group.v_dim)
     r.add("lattice_rank", group.lattice_rank)
     for v in group.v_basis:
-        r.add("v_basis_vector", _point_str(v))
+        r.add("v_basis_vector", format_point(v))
     for v in group.lambda_basis:
-        r.add("lattice_basis_vector", _point_str(v))
+        r.add("lattice_basis_vector", format_point(v))
     if group.probe is not None:
         r.add("probe_verdict", group.probe.verdict)
     _emit(r, args)
@@ -230,16 +227,16 @@ def cmd_decompose(args) -> int:
     r.add("v_dimension", dec.group.v_dim)
     r.add("lattice_rank", dec.group.lattice_rank)
     for v in dec.group.lambda_basis:
-        r.add("lattice_basis_vector", _point_str(v))
+        r.add("lattice_basis_vector", format_point(v))
     r.add("separation", dec.separation)
     r.add("mass_off_origin_bound", dec.mass_off_origin_bound)
     parts = r.section("parts")
     for key, pt, atoms in zip(dec.coset_keys, dec.coset_points, dec.parts):
-        s = parts.section("a=" + _point_str(pt) if key else "a=0 " + _point_str(pt))
+        s = parts.section("a=" + format_point(pt) if key else "a=0 " + format_point(pt))
         s.add("lattice_coordinates", list(key) if key else [0])
         s.add("atom_count", len(atoms))
         for p, w in atoms:
-            s.add("atom", f"{_point_str(p)} weight {format_coordinate(w)}")
+            s.add("atom", f"{format_point(p)} weight {format_coordinate(w)}")
     _emit(r, args)
     return EXIT_FAILS
 

@@ -1,15 +1,32 @@
 """Closure of the subgroup generated by supp(mu): V + lattice decompositions.
 
-Structured cases are decided exactly (1-d gcd/irrationality, rational lattices
-via Hermite normal form, coordinate-axis products, Kronecker shapes, affine
-pieces); anything else falls back to the numerical density probe and is never
-certified.
+Balls and spheres make the closure everything.  Affine pieces and dense
+directions span a rational subspace V, and the finite support points are
+decided modulo V by one exact algorithm, Kronecker's theorem in its general
+form (Cassels, *An Introduction to Diophantine Approximation*, Ch. III):
+
+* a point is the sum of its rational slices, p = sum_k c_k p^(k), over the
+  declared constants c_0 = 1, c_1, ..., c_m;
+* the slices split into the finest rational direct-sum blocks (the components
+  of their linear matroid, with the slices of one point kept together), and the
+  closure is the direct sum of the closures of the blocks;
+* a 1-d block is a subgroup of a line and goes to `closure_1d`;
+* a wider block needs a constant alpha whose alpha * (rational) points span it.
+  They generate a full-rank lattice alpha*L, and the closure is the dual of the
+  annihilator {xi in L* : <xi, p/alpha> in Z for every other point p}, which
+  rational linear conditions and one congruence cut out.
+
+A block without such an alpha has a closure that depends on products of
+constants, e.g. (1, sqrt2), (sqrt2, 1), (1, 0).  It falls back to the
+numerical density probe and is never certified.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from enum import Enum
 from fractions import Fraction
 from typing import Any
 
@@ -17,11 +34,30 @@ from . import ratlinalg as rl
 from .exactreal import (
     ConstantBasis,
     ExtendedRational,
-    format_coordinate,
+    format_point,
     rational_gcd_many,
     rational_ratio,
 )
-from .measures import Point, SupportDescriptor, point_is_zero
+from .measures import Point, SupportDescriptor, negate_point, point_is_zero
+
+
+class Route(str, Enum):
+    """How a closure was decided; the value is what reports print."""
+
+    TRIVIAL = "trivial"
+    LATTICE = "lattice"
+    IRRATIONAL_PAIR = "irrational_pair"
+    KRONECKER = "kronecker"
+    ACCUMULATION = "accumulation"
+    INTERVAL_OR_BALL = "interval_or_ball"
+    PROBE = "probe"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+# a closure built from several blocks reports the strongest route among them
+_BLOCK_ROUTES = (Route.TRIVIAL, Route.LATTICE, Route.IRRATIONAL_PAIR, Route.KRONECKER)
 
 
 @dataclass(frozen=True)
@@ -34,9 +70,8 @@ class ClosedSubgroup:
     lambda_basis: tuple[Point, ...]
     orthogonal: bool
     provenance: str  # "exact" | "numerical-probe"
-    route: str
+    route: Route
     witness: Any = None
-    orthogonal_exact: bool = True
     probe: Any = None
 
     @property
@@ -86,6 +121,16 @@ def point_from_fractions(basis: ConstantBasis, vec) -> Point:
     return tuple(basis.from_rational(Fraction(c)) for c in vec)
 
 
+def _slice_point(basis: ConstantBasis, k: int, vec) -> Point:
+    """c_k * vec for the k-th basis constant (c_0 = 1) and a rational vector."""
+    pad = (Fraction(0),) * basis.size
+    return tuple(ExtendedRational(basis, pad[:k] + (Fraction(x),) + pad[k:]) for x in vec)
+
+
+def _unit_points(basis: ConstantBasis, d: int) -> tuple[Point, ...]:
+    return tuple(point_from_fractions(basis, [int(i == j) for i in range(d)]) for j in range(d))
+
+
 def rational_parts(p: Point):
     """Coordinate slices of a point: one rational vector per basis constant."""
     m = p[0].basis.size + 1
@@ -131,26 +176,25 @@ def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
         raise ClosureError("closure_1d requires dimension 1")
     basis = _descriptor_basis(support)
     if support.is_empty():
-        return ClosedSubgroup(1, basis, (), (), True, "exact", "trivial")
+        return ClosedSubgroup(1, basis, (), (), True, "exact", Route.TRIVIAL)
     if support.contains_interval_or_ball or support.has_accumulation_point or support.dense_directions:
-        route = "interval_or_ball" if support.contains_interval_or_ball else "accumulation"
-        full = (point_from_fractions(basis, [1]),)
-        return ClosedSubgroup(1, basis, full, (), True, "exact", route)
+        route = Route.INTERVAL_OR_BALL if support.contains_interval_or_ball else Route.ACCUMULATION
+        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), True, "exact", route)
     scalars = support.positive_scalars_1d()
     if not scalars:
-        return ClosedSubgroup(1, basis, (), (), True, "exact", "trivial")
+        return ClosedSubgroup(1, basis, (), (), True, "exact", Route.TRIVIAL)
     a1 = scalars[0]
     ratios = []
     for b in scalars:
         r = rational_ratio(a1, b)
         if r is None:
-            full = (point_from_fractions(basis, [1]),)
             return ClosedSubgroup(
-                1, basis, full, (), True, "exact", "irrational_pair", witness=(a1, b)
+                1, basis, _unit_points(basis, 1), (), True, "exact", Route.IRRATIONAL_PAIR,
+                witness=(a1, b),
             )
         ratios.append(r)
     g = a1.scale(rational_gcd_many(ratios))
-    return ClosedSubgroup(1, basis, (), ((g,),), True, "exact", "lattice")
+    return ClosedSubgroup(1, basis, (), ((g,),), True, "exact", Route.LATTICE)
 
 
 def _descriptor_basis(support: SupportDescriptor) -> ConstantBasis:
@@ -163,7 +207,7 @@ def _descriptor_basis(support: SupportDescriptor) -> ConstantBasis:
     return ConstantBasis()
 
 
-# -- rational lattice and Kronecker machinery ------------------------------------------
+# -- rational lattices -----------------------------------------------------------------
 
 
 def lattice_hnf(generators) -> tuple[Point, ...]:
@@ -198,327 +242,191 @@ def kronecker_check(c: Point):
     return ("not_dense", tuple(dep))
 
 
-def _kronecker_closure(basis: ConstantBasis, c: Point):
-    """Exact closure of Z^d + cZ when {1, c_i} are rationally dependent.
-
-    The annihilator {xi in Z^d : <xi, c> in Z} is an integer lattice cut out
-    by rational linear conditions; the closure is its dual: V = real kernel,
-    lattice = Z-span of a rational right inverse.
-    """
-    d = len(c)
-    m = basis.size
-    # integer xi with sum_i xi_i c_i^{(k)} = 0 for every irrational constant k
-    rows = []
-    for k in range(1, m + 1):
-        row = [ci.coords[k] for ci in c]
-        if any(x != 0 for x in row):
-            rows.append(row)
-    if rows:
-        ints, _ = rl.clear_denominators(rows)
-        kernel = rl.integer_kernel(ints)
-    else:
-        kernel = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    if not kernel:
-        # annihilator trivial: closure is everything
-        v = tuple(point_from_fractions(basis, [int(i == j) for i in range(d)]) for j in range(d))
-        return v, ()
-    # inside that lattice, require <xi, c^{(0)}> in Z
-    c0 = [ci.coords[0] for ci in c]
-    fr = [sum(Fraction(k[i]) * c0[i] for i in range(d)) for k in kernel]
-    cong = rl.congruence_lattice(fr)
-    xi_basis = []
-    for mvec in cong:
-        xi = [sum(mvec[j] * kernel[j][i] for j in range(len(kernel))) for i in range(d)]
-        xi_basis.append(xi)
-    xi_basis = [x for x in rl.hnf_lattice(xi_basis)]
-    if not xi_basis:
-        v = tuple(point_from_fractions(basis, [int(i == j) for i in range(d)]) for j in range(d))
-        return v, ()
-    # V = rational kernel of the annihilator rows
-    vker = rl.nullspace(xi_basis)
-    v_basis = tuple(point_from_fractions(basis, vec) for vec in vker)
-    # lattice: rational solutions of Xi y_i = e_i
-    s = len(xi_basis)
-    lam = []
-    for i in range(s):
-        rhs = [Fraction(int(j == i)) for j in range(s)]
-        y = rl.solve(xi_basis, rhs)
-        if y is None:
-            raise ClosureError("annihilator basis is rank-deficient")
-        lam.append(point_from_fractions(basis, y))
-    return v_basis, tuple(lam)
-
-
 # -- multi-d closure ---------------------------------------------------------------
 
 
 def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgroup:
-    """Structured-case engine per the decision theory; probe fallback otherwise."""
+    """Exact closure V + lattice of the generated group; probe fallback otherwise."""
     d = support.dimension
     if d == 1:
         return closure_1d(support)
     basis = _descriptor_basis(support)
-    full_v = tuple(
-        point_from_fractions(basis, [int(i == j) for i in range(d)]) for j in range(d)
-    )
+    full_v = _unit_points(basis, d)
     if support.contains_interval_or_ball or support.spheres:
-        return ClosedSubgroup(d, basis, full_v, (), True, "exact", "interval_or_ball")
+        return ClosedSubgroup(d, basis, full_v, (), True, "exact", Route.INTERVAL_OR_BALL)
 
-    # assemble V from affine pieces and dense directions
+    # V from affine pieces and dense directions, rationalized so reductions stay exact
     v_dirs: list[Point] = []
     for piece_basis, offset in support.affine_pieces:
         v_dirs.extend(piece_basis)
         if not point_is_zero(offset):
             raise ClosureError("affine pieces with nonzero offsets are not supported")
     v_dirs.extend(support.dense_directions)
-    points = [p for p in support.finite_points if not point_is_zero(p)]
-
-    if not v_dirs:
-        result = _closure_points_only(basis, d, points, support, probe_config)
-        if result is not None:
-            return result
+    splits = [scalar_direction_split(v) for v in v_dirs]
+    if None in splits:
         return _probe_closure(basis, support, probe_config)
-
-    # rationalize V directions so reductions stay exact
-    v_rat = []
-    for dir_ in v_dirs:
-        split = scalar_direction_split(dir_)
-        if split is None:
-            return _probe_closure(basis, support, probe_config)
-        v_rat.append(split[1])
-    v_span = _rational_span_basis(v_rat)
+    v_span = _rational_span_basis([w for _, w in splits])
     if len(v_span) == d:
-        return ClosedSubgroup(d, basis, full_v, (), True, "exact", "affine_span")
+        return ClosedSubgroup(d, basis, full_v, (), True, "exact", Route.INTERVAL_OR_BALL)
 
-    # reduce residual points modulo V in an exact rational complement
-    comp = _rational_complement(v_span, d)
-    reduced = []
-    for p in points:
-        beta = _reduce_mod_subspace(p, v_span, comp, basis)
-        if beta is None:
-            return _probe_closure(basis, support, probe_config)
-        if not point_is_zero(beta):
-            reduced.append(beta)
-    sub = SupportDescriptor(dimension=len(comp), finite_points=tuple(_dedup(reduced)))
-    inner = (
-        closure_1d(sub)
-        if len(comp) == 1
-        else _closure_points_only(basis, len(comp), list(sub.finite_points), sub, probe_config)
-    )
-    if inner is None or not inner.is_certified():
+    points = [p for p in support.finite_points if not point_is_zero(p)]
+    if v_span:
+        # decide the points modulo V, in coordinates along a rational complement
+        comp = _rational_complement(v_span, d)
+        reduced = (_reduce_mod_subspace(p, v_span, comp, basis) for p in points)
+        points = [p for p in reduced if not point_is_zero(p)]
+    inner = _points_closure(basis, d - len(v_span), points)
+    if inner is None:
         return _probe_closure(basis, support, probe_config)
-    # map W-coordinates back to R^d
-    comp_points = [point_from_fractions(basis, w) for w in comp]
-    v_basis = tuple(point_from_fractions(basis, v) for v in v_span)
-    v_extra = tuple(_combine(comp_points, v) for v in inner.v_basis)
-    lam = tuple(_combine(comp_points, v) for v in inner.lambda_basis)
-    if len(v_basis) + len(v_extra) == d:
-        return ClosedSubgroup(d, basis, full_v, (), True, "exact", "affine_plus_" + inner.route)
-    return ClosedSubgroup(
-        d,
-        basis,
-        v_basis + v_extra,
-        lam,
-        False,
-        "exact",
-        "affine_plus_" + inner.route,
-        witness=inner.witness,
-    )
+    v_basis, lam, route, witness = inner
+    if v_span:
+        comp_points = [point_from_fractions(basis, w) for w in comp]
+        v_basis = tuple(point_from_fractions(basis, v) for v in v_span) + tuple(
+            _combine(comp_points, v) for v in v_basis
+        )
+        lam = tuple(_combine(comp_points, v) for v in lam)
+    if len(v_basis) == d:
+        return ClosedSubgroup(d, basis, full_v, (), True, "exact", route, witness=witness)
+    return ClosedSubgroup(d, basis, v_basis, lam, False, "exact", route, witness=witness)
 
 
-def _closure_points_only(basis, d, points, support, probe_config):
-    """Finite-point dispatch: rational HNF, axis products, collinear, Kronecker."""
-    if not points:
-        return ClosedSubgroup(d, basis, (), (), True, "exact", "trivial")
+def _points_closure(basis, d, points):
+    """(v_basis, lambda_basis, route, witness) of the group the points generate.
 
-    if all(is_rational_point(p) for p in points):
-        lam = lattice_hnf(points)
-        return ClosedSubgroup(d, basis, (), lam, True, "exact", "lattice")
-
-    axes = _axis_split(points, d)
-    if axes is not None:
-        return _axis_closure(basis, d, axes)
-
-    collinear = _collinear_closure(basis, d, points)
-    if collinear is not None:
-        return collinear
-
-    kron = _kronecker_case(basis, d, points)
-    if kron is not None:
-        return kron
-    return None
-
-
-def _dedup(points):
-    out = []
-    seen = set()
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
-def _axis_split(points, d):
-    """Group points by the single axis they live on; None if any point is off-axis."""
-    axes: dict[int, list[ExtendedRational]] = {}
-    for p in points:
-        nz = [i for i, c in enumerate(p) if not c.is_zero()]
-        if len(nz) != 1:
-            return None
-        axes.setdefault(nz[0], []).append(p[nz[0]])
-    return axes
-
-
-def _axis_closure(basis, d, axes):
-    """Per-axis 1-d closures combined along orthogonal coordinate axes."""
-    v_basis = []
-    lam = []
-    routes = []
-    for i, scalars in sorted(axes.items()):
-        sub = SupportDescriptor(dimension=1, finite_points=tuple((s,) for s in scalars))
-        cl = closure_1d(sub)
-        routes.append(cl.route)
-        unit = [Fraction(0)] * d
-        unit[i] = Fraction(1)
-        if cl.is_full():
-            v_basis.append(point_from_fractions(basis, unit))
-        elif cl.lambda_basis:
-            g = cl.lambda_basis[0][0]
-            vec = [basis.zero()] * d
-            vec[i] = g
-            lam.append(tuple(vec))
-    route = "axes"
-    if any(r == "irrational_pair" for r in routes):
-        route = "irrational_pair"
-    elif all(r == "lattice" for r in routes):
-        route = "lattice"
-    return ClosedSubgroup(d, basis, tuple(v_basis), tuple(lam), True, "exact", route)
-
-
-def _collinear_closure(basis, d, points):
-    """All points rational multiples of one direction: 1-d closure on the line."""
-    split0 = scalar_direction_split(points[0])
-    if split0 is None:
-        return None
-    scale0, w = split0
-    wpt = point_from_fractions(basis, w)
-    scalars = []
-    for p in points:
-        # p = t * w requires every coordinate ratio rational wrt the direction
-        t = None
-        for ci, wi in zip(p, wpt):
-            if wi.is_zero():
-                if not ci.is_zero():
-                    return None
-                continue
-            t_i = _er_ratio(ci, wi)
-            if t_i is None:
+    None when some block has no full-rank alpha*L frame.  The witness is the
+    Kronecker block's when exactly one block needed the annihilator.
+    """
+    # one of p, -p: the one whose first nonzero coefficient is positive
+    points = list(dict.fromkeys(
+        p if next(x for c in p for x in c.coords if x != 0) > 0 else negate_point(p) for p in points
+    ))
+    v_basis, lam, routes, witnesses = [], [], [Route.TRIVIAL], []
+    for block, span in _rational_blocks(points, d):
+        if len(span) == 1:
+            part = _line_closure(basis, block, span[0])
+        else:
+            part = _annihilator_closure(basis, block, len(span))
+            if part is None:
                 return None
-            if t is None:
-                t = t_i
-            elif not (t - t_i).is_zero():
-                return None
-        scalars.append(t)
-    sub = SupportDescriptor(dimension=1, finite_points=tuple((abs(s),) for s in scalars))
+        v_basis += part[0]
+        lam += part[1]
+        routes.append(part[2])
+        if part[3] is not None:
+            witnesses.append(part[3])
+    if not v_basis and all(is_rational_point(v) for v in lam):
+        lam = lattice_hnf(lam)
+    route = max(routes, key=_BLOCK_ROUTES.index)
+    witness = witnesses[0] if len(witnesses) == 1 else None
+    return tuple(v_basis), tuple(lam), route, witness
+
+
+def _rational_blocks(points, d):
+    """Finest rational direct-sum blocks as (points, basis of their span) pairs.
+
+    The blocks are the components of the linear matroid of all nonzero slices,
+    merged so that the slices of one point stay together.  One rref of the
+    slice columns gives every fundamental circuit: a non-pivot column shares a
+    component with each pivot it has a nonzero entry against.
+    """
+    owner, cols = [], []
+    for i, p in enumerate(points):
+        for s in rational_parts(p):
+            if any(s):
+                owner.append(i)
+                cols.append(s)
+    if not cols:
+        return []
+    red, pivots = rl.rref([[c[r] for c in cols] for r in range(d)])
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for r, pc in enumerate(pivots):
+        for j, x in enumerate(red[r]):
+            if x != 0:
+                parent[find(owner[j])] = find(owner[pc])
+    blocks: dict[int, tuple[list, list]] = {}
+    for i, p in enumerate(points):
+        blocks.setdefault(find(i), ([], []))[0].append(p)
+    for pc in pivots:
+        blocks[find(owner[pc])][1].append(cols[pc])
+    return list(blocks.values())
+
+
+def _line_closure(basis, points, direction):
+    """Closure of points on the rational line through direction, by `closure_1d`."""
+    w = _primitive(direction)
+    i0 = next(i for i, x in enumerate(w) if x != 0)
+    if w[i0] < 0:
+        w = [-x for x in w]
+    scalars = [ExtendedRational(basis, tuple(s[i0] / w[i0] for s in rational_parts(p))) for p in points]
+    sub = SupportDescriptor(dimension=1, finite_points=tuple((t,) for t in scalars + [-t for t in scalars]))
     cl = closure_1d(sub)
     if cl.is_full():
-        return ClosedSubgroup(
-            d, basis, (wpt,), (), True, "exact", "collinear_" + cl.route, witness=cl.witness
-        )
+        return [point_from_fractions(basis, w)], [], cl.route, None
     g = cl.lambda_basis[0][0]
-    lam = tuple(c * g if c.is_rational() or g.is_rational() else None for c in wpt)
-    if any(v is None for v in lam):
-        return None
-    return ClosedSubgroup(d, basis, (), (lam,), True, "exact", "collinear_lattice")
+    return [], [tuple(g.scale(x) for x in w)], cl.route, None
 
 
-def _er_ratio(num: ExtendedRational, den: ExtendedRational):
-    """num/den as ExtendedRational when representable (den rational, or
-    proportional coordinate vectors)."""
-    if den.is_zero():
-        return None
-    if den.is_rational():
-        return num.scale(Fraction(1) / den.as_rational())
-    r = rational_ratio(den, num)
-    if r is None:
-        return None
-    return den.basis.from_rational(r)
+def _annihilator_closure(basis, points, k):
+    """Closure of a block of rank k >= 2 from a full-rank alpha*L frame, or None.
 
-
-def _kronecker_case(basis, d, points):
-    """d rational pair-points forming a basis plus one extra point."""
-    rational = _dedup([p for p in points if is_rational_point(p)])
-    extra = _dedup([p for p in points if not is_rational_point(p)])
-    # keep one representative per +- pair
-    rational = _positive_reps(rational)
-    extra = _positive_reps(extra)
-    if len(extra) != 1 or len(rational) != d:
+    In coordinates y with p = alpha * B y, B the HNF basis of L, the annihilator
+    is {xi in Z^k : <xi, y> in Z for every point off the frame}.  Since the
+    numbers c_j/alpha are Q-independent and c_alpha/alpha = 1, that asks
+    <xi, y^(j)> = 0 for j != alpha and <xi, y^(alpha)> = n, an integer: one
+    integer kernel in the unknowns (xi, n).  The closure is its dual: V is the
+    rational kernel of the annihilator, the lattice alpha * B times a rational
+    right inverse.  The witness holds the coordinates B^-1 p of the points off
+    the frame ("c") and, when the block is not dense, one annihilator vector
+    ("dependency").
+    """
+    parts = [rational_parts(p) for p in points]
+    for a in range(basis.size + 1):
+        on_frame = [not any(any(s) for j, s in enumerate(sl) if j != a) for sl in parts]
+        frame = [sl[a] for sl, on in zip(parts, on_frame) if on]
+        if frame and rl.rank(frame) == k:
+            break
+    else:
         return None
-    mat = [[p[i].coords[0] for p in rational] for i in range(d)]
-    if rl.rank(mat) != d:
-        return None
-    # base change: coordinates of the extra point in the rational basis
-    cprime = []
-    m = basis.size
-    parts = rational_parts(extra[0])
-    sols = []
-    for k in range(m + 1):
-        sol = rl.solve(mat, parts[k])
-        if sol is None:
-            return None
-        sols.append(sol)
-    for i in range(d):
-        coords = tuple(Fraction(sols[k][i]) for k in range(m + 1))
-        cprime.append(ExtendedRational(basis, coords))
-    cprime = tuple(cprime)
-    verdict, dependency = kronecker_check(cprime)
-    if verdict == "dense":
-        full = tuple(
-            point_from_fractions(basis, [int(i == j) for i in range(d)]) for j in range(d)
-        )
-        return ClosedSubgroup(
-            d, basis, full, (), True, "exact", "kronecker", witness={"c": cprime}
-        )
-    v_prime, lam_prime = _kronecker_closure(basis, cprime)
-    # map back: x = M y with M columns the rational basis points
-    M = [[rational[j][i].coords[0] for j in range(d)] for i in range(d)]
-    v_basis = tuple(_apply_rational_matrix(basis, M, v) for v in v_prime)
-    lam = tuple(_apply_rational_matrix(basis, M, v) for v in lam_prime)
-    return ClosedSubgroup(
-        d,
-        basis,
-        v_basis,
-        lam,
-        False,
-        "exact",
-        "kronecker",
-        witness={"c": cprime, "dependency": dependency},
+    B = rl.hnf_lattice(frame)
+    if all(on_frame):
+        return [], [_slice_point(basis, a, b) for b in B], Route.LATTICE, None
+    Bmat = [list(row) for row in zip(*B)]
+    coords = [[rl.solve(Bmat, s) for s in sl] for sl, on in zip(parts, on_frame) if not on]
+    rows = []
+    for e, ys in enumerate(coords):
+        for j, y in enumerate(ys):
+            n_coeffs = [0] * len(coords)
+            if j == a:
+                n_coeffs[e] = -1
+            elif not any(y):
+                continue
+            rows.append(list(y) + n_coeffs)
+    ints, _ = rl.clear_denominators(rows)
+    annihilator = rl.hnf_lattice([m[:k] for m in rl.integer_kernel(ints)])
+    c = tuple(
+        tuple(ExtendedRational(basis, tuple(y[i] for y in ys)) for i in range(k)) for ys in coords
     )
+    if not annihilator:
+        return [point_from_fractions(basis, b) for b in B], [], Route.KRONECKER, {"c": c}
+    s = len(annihilator)
+    v = [point_from_fractions(basis, _apply(B, x)) for x in rl.nullspace(annihilator)]
+    lam = [
+        _slice_point(basis, a, _apply(B, rl.solve(annihilator, [int(i == j) for j in range(s)])))
+        for i in range(s)
+    ]
+    witness = {"c": c, "dependency": tuple(int(x) for x in annihilator[0])}
+    return v, lam, Route.KRONECKER, witness
 
 
-def _positive_reps(points):
-    out = []
-    seen = set()
-    for p in points:
-        np_ = tuple(-c for c in p)
-        if p in seen or np_ in seen:
-            continue
-        seen.add(p)
-        sign = next((c.sign() for c in p if not c.is_zero()), 1)
-        out.append(p if sign > 0 else np_)
-    return out
-
-
-def _apply_rational_matrix(basis, M, p: Point) -> Point:
-    d = len(M)
-    out = []
-    for i in range(d):
-        acc = basis.zero()
-        for j in range(d):
-            acc = acc + p[j].scale(M[i][j])
-        out.append(acc)
-    return tuple(out)
+def _apply(cols, y):
+    """sum_j y_j * cols[j] for rational column vectors."""
+    return [sum(Fraction(yj) * col[i] for yj, col in zip(y, cols)) for i in range(len(cols[0]))]
 
 
 def _rational_span_basis(vecs):
@@ -544,12 +452,9 @@ def _reduce_mod_subspace(p: Point, v_span, comp, basis):
     d = len(p)
     cols = [list(v) for v in v_span] + [list(w) for w in comp]
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(d)]
-    parts = rational_parts(p)
     out = [[Fraction(0)] * (basis.size + 1) for _ in comp]
-    for k in range(basis.size + 1):
-        sol = rl.solve(mat, parts[k])
-        if sol is None:
-            return None
+    for k, part in enumerate(rational_parts(p)):
+        sol = rl.solve(mat, part)
         for t in range(len(comp)):
             out[t][k] = sol[len(v_span) + t]
     return tuple(ExtendedRational(basis, tuple(c)) for c in out)
@@ -585,7 +490,7 @@ def _probe_closure(basis, support, probe_config) -> ClosedSubgroup:
         (),
         False,
         "numerical-probe",
-        "probe",
+        Route.PROBE,
         probe=result,
     )
 
@@ -593,51 +498,34 @@ def _probe_closure(basis, support, probe_config) -> ClosedSubgroup:
 # -- orthogonalization ----------------------------------------------------------------
 
 
+def _rational_v_rows(group: ClosedSubgroup):
+    """V as rational rows; every exact closure builds V from rational directions."""
+    if not all(is_rational_point(v) for v in group.v_basis):
+        raise ClosureError("closure has a non-rational V")
+    return [[c.coords[0] for c in v] for v in group.v_basis]
+
+
 def orthogonalize(group: ClosedSubgroup) -> ClosedSubgroup:
     """Replace each lattice vector a by a - proj_V(a); same generated group."""
     if not group.v_basis or not group.lambda_basis:
-        return replace(group, orthogonal=True, orthogonal_exact=True)
-    if all(is_rational_point(v) for v in group.v_basis):
-        vr = [[c.coords[0] for c in v] for v in group.v_basis]
-        G = [[sum(a * b for a, b in zip(u, w)) for w in vr] for u in vr]
-        new_lam = []
-        for a in group.lambda_basis:
-            rhs = []
-            for v in vr:
-                acc = group.basis.zero()
-                for vc, ac in zip(v, a):
-                    acc = acc + ac.scale(vc)
-                rhs.append(acc)
-            coeffs = _solve_er(G, rhs, group.basis)
-            proj = [group.basis.zero()] * group.dimension
-            for t, c in enumerate(coeffs):
-                for i in range(group.dimension):
-                    proj[i] = proj[i] + c.scale(vr[t][i])
-            new_lam.append(tuple(ac - pc for ac, pc in zip(a, proj)))
-        return replace(
-            group, lambda_basis=tuple(new_lam), orthogonal=True, orthogonal_exact=True
-        )
-    # numeric fallback at declared precision
-    import numpy as np
-
-    V = np.array([[float(c) for c in v] for v in group.v_basis]).T
-    Q, _ = np.linalg.qr(V)
+        return replace(group, orthogonal=True)
+    vr = _rational_v_rows(group)
+    G = [[sum(a * b for a, b in zip(u, w)) for w in vr] for u in vr]
     new_lam = []
     for a in group.lambda_basis:
-        av = np.array([float(c) for c in a])
-        proj = Q @ (Q.T @ av)
-        new_lam.append(
-            tuple(
-                ExtendedRational(
-                    group.basis,
-                    (Fraction(x).limit_denominator(10**12),) + (Fraction(0),) * group.basis.size,
-                )
-                for x in (av - proj)
-            )
-        )
-    return replace(
-        group, lambda_basis=tuple(new_lam), orthogonal=True, orthogonal_exact=False
-    )
+        rhs = []
+        for v in vr:
+            acc = group.basis.zero()
+            for vc, ac in zip(v, a):
+                acc = acc + ac.scale(vc)
+            rhs.append(acc)
+        coeffs = _solve_er(G, rhs, group.basis)
+        proj = [group.basis.zero()] * group.dimension
+        for t, c in enumerate(coeffs):
+            for i in range(group.dimension):
+                proj[i] = proj[i] + c.scale(vr[t][i])
+        new_lam.append(tuple(ac - pc for ac, pc in zip(a, proj)))
+    return replace(group, lambda_basis=tuple(new_lam), orthogonal=True)
 
 
 def _solve_er(G, rhs, basis):
@@ -658,17 +546,31 @@ def _solve_er(G, rhs, basis):
 
 
 def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) -> HyperplaneCertificate:
-    """Build (H, c) with supp in H + cZ from a non-full orthogonalized closure."""
+    """Build (H, c) with supp in H + cZ from a non-full orthogonalized closure.
+
+    Every lattice vector is s * (rational w).  c is a shortest vector of the
+    lattice vectors whose scale is a rational multiple of the first rational
+    one's (of the first one's when none is rational).  H holds V, the rest of
+    that sublattice and the directions w of the other lattice vectors.
+    """
     if group.is_full():
         raise ClosureError("closure is dense; no hyperplane certificate exists")
     d = group.dimension
     basis = group.basis
-    if not all(is_rational_point(v) for v in group.v_basis):
-        return _numeric_certificate(group, support)
-
-    lam_rational = all(is_rational_point(v) for v in group.lambda_basis)
-    if group.lambda_basis and lam_rational:
-        vr = [[c.coords[0] for c in v] for v in group.lambda_basis]
+    h_rows = _rational_v_rows(group)
+    c_point, c_dir = None, []
+    if group.lambda_basis:
+        splits = [scalar_direction_split(v) for v in group.lambda_basis]
+        if None in splits:
+            raise ClosureError("lattice vector is not a scalar times a rational vector")
+        scale = basis.one() if any(map(is_rational_point, group.lambda_basis)) else splits[0][0]
+        vr = []
+        for s, w in splits:
+            r = rational_ratio(scale, s)
+            if r is None:
+                h_rows.append(list(w))
+            else:
+                vr.append([r * x for x in w])
 
         def dot(u, v):
             return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
@@ -678,34 +580,15 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
         g = math.gcd(*(abs(m) for m in mvec))
         mprim = [m // g for m in mvec]
         U = rl.complete_primitive(mprim)
-        rest = []
         for jcol in range(1, len(vr)):
-            rest.append(
-                tuple(
-                    sum(Fraction(U[i][jcol]) * vr[i][t] for i in range(len(vr)))
-                    for t in range(d)
-                )
+            h_rows.append(
+                [sum(Fraction(U[i][jcol]) * vr[i][t] for i in range(len(vr))) for t in range(d)]
             )
-        c_point = _canonical_sign(point_from_fractions(basis, cvec))
-        h_rows = [[c.coords[0] for c in v] for v in group.v_basis] + [list(r) for r in rest]
-    elif group.lambda_basis:
-        # lattice directions with a common irrational scale: use scalar split
-        split = scalar_direction_split(group.lambda_basis[0])
-        if split is None or len(group.lambda_basis) != 1:
-            return _numeric_certificate(group, support)
-        c_point = _canonical_sign(group.lambda_basis[0])
-        h_rows = [[c.coords[0] for c in v] for v in group.v_basis]
-    else:
-        c_point = None
-        h_rows = [[c.coords[0] for c in v] for v in group.v_basis]
+        c_point = _canonical_sign(tuple(scale.scale(x) for x in cvec))
+        c_dir = [cvec]
 
     # pad H to dimension d-1 with rational vectors orthogonal to everything used
-    pad_rows = list(h_rows)
-    if c_point is not None and is_rational_point(c_point):
-        pad_rows = pad_rows + [[c.coords[0] for c in c_point]]
-    elif c_point is not None:
-        split = scalar_direction_split(c_point)
-        pad_rows = pad_rows + [list(split[1])]
+    pad_rows = h_rows + c_dir
     padding = rl.nullspace(pad_rows) if pad_rows else [
         [Fraction(int(i == j)) for i in range(d)] for j in range(d)
     ]
@@ -759,7 +642,7 @@ def _validate_certificate(cert: HyperplaneCertificate, support: SupportDescripto
         r = rational_ratio(period, val)
         if r is None or r.denominator != 1:
             raise ClosureError(
-                f"certificate fails at {_fmt_point(x)}: pairing {val} not an integer "
+                f"certificate fails at {format_point(x)}: pairing {val} not an integer "
                 f"multiple of {period}"
             )
     for piece_basis, _ in support.affine_pieces:
@@ -769,43 +652,6 @@ def _validate_certificate(cert: HyperplaneCertificate, support: SupportDescripto
     for dirv in support.dense_directions:
         if not er_dot(cert.normal, dirv).is_zero():
             raise ClosureError("certificate fails: dense direction not inside H")
-
-
-def _numeric_certificate(group: ClosedSubgroup, support: SupportDescriptor) -> HyperplaneCertificate:
-    """Float fallback for closures with irrational V; flagged non-exact."""
-    import numpy as np
-
-    d = group.dimension
-    basis = group.basis
-    rows = [[float(c) for c in v] for v in group.v_basis]
-    for v in group.lambda_basis[1:]:
-        rows.append([float(c) for c in v])
-    c_point = group.lambda_basis[0] if group.lambda_basis else None
-    A = np.array(rows, dtype=float) if rows else np.zeros((0, d))
-    if c_point is not None:
-        A = np.vstack([A, [[float(c) for c in c_point]]])
-    _, s, vt = np.linalg.svd(A) if A.size else (None, np.zeros(0), np.eye(d))
-    ns = vt[len(s[s > 1e-12]):] if A.size else np.eye(d)
-    h_rows = rows + [list(v) for v in ns[: d - 1 - len(rows)]]
-    normal = np.array(vt[-1]) if A.size else np.eye(d)[0]
-    napprox = tuple(
-        ExtendedRational(basis, (Fraction(x).limit_denominator(10**12),) + (Fraction(0),) * basis.size)
-        for x in normal
-    )
-    if c_point is None:
-        c_point = napprox
-    return HyperplaneCertificate(
-        normal=napprox,
-        c=c_point,
-        h_basis=tuple(
-            tuple(
-                ExtendedRational(basis, (Fraction(x).limit_denominator(10**12),) + (Fraction(0),) * basis.size)
-                for x in row
-            )
-            for row in h_rows
-        ),
-        exact=False,
-    )
 
 
 # -- measure decomposition ---------------------------------------------------------------
@@ -859,7 +705,7 @@ def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
     for p, w in atom_items:
         m = _coset_coordinates(p, group)
         if m is None:
-            raise DecompositionError(f"atom {_fmt_point(p)} lies in no coset V + a")
+            raise DecompositionError(f"atom {format_point(p)} lies in no coset V + a")
         keys.setdefault(tuple(m), []).append((p, w))
 
     # enumeration ball: all finite support plus the origin coset
@@ -885,7 +731,7 @@ def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
         coset_points.append(tuple(pt))
         parts.append(tuple(keys.get(key, ())))
 
-    _verify_symmetry_pairing(lattice_keys, parts, basis)
+    _verify_symmetry_pairing(lattice_keys, parts)
 
     separation = math.inf
     for key, pt in zip(lattice_keys, coset_points):
@@ -915,76 +761,33 @@ def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
 
 
 def _coset_coordinates(p: Point, group: ClosedSubgroup):
-    """Integer coordinates m with p - sum m_i lambda_i in span(V), or None."""
-    d = group.dimension
-    basis = group.basis
-    if not all(is_rational_point(v) for v in group.v_basis):
-        return None
-    nv = len(group.v_basis)
-    nl = len(group.lambda_basis)
-    if nl == 0:
-        beta = _membership_in_span(p, group.v_basis, basis)
-        return [] if beta else None
-    # handle irrational lattice vectors via a common scalar factor
-    if not all(is_rational_point(v) for v in group.lambda_basis):
-        return _coset_coordinates_scaled(p, group)
-    cols = [[c.coords[0] for c in v] for v in group.v_basis] + [
-        [c.coords[0] for c in v] for v in group.lambda_basis
-    ]
-    mat = [[cols[j][i] for j in range(nv + nl)] for i in range(d)]
-    parts = rational_parts(p)
-    msol = None
-    for k in range(basis.size + 1):
-        sol = rl.solve(mat, parts[k])
-        if sol is None:
-            return None
-        mk = sol[nv:]
-        if k == 0:
-            msol = mk
-        elif any(c != 0 for c in mk):
-            # lattice coordinates must be rational integers (constant part only)
-            return None
-    if msol is None or any(c.denominator != 1 for c in msol):
-        return None
-    # consistency: residual must lie in span(V); guaranteed by the solve
-    return [int(c) for c in msol]
+    """Integer coordinates m with p - sum m_i lambda_i in span(V), or None.
 
-
-def _coset_coordinates_scaled(p: Point, group: ClosedSubgroup):
-    """Lattice basis of the form alpha * (rational vectors): divide out alpha."""
-    splits = [scalar_direction_split(v) for v in group.lambda_basis]
-    if any(s is None for s in splits):
+    One rational system over the constant slices k at once:
+    p^(k) = V t^(k) + sum_i m_i lambda_i^(k), with its own t^(k) per slice and
+    one m shared by all slices.  A slice where p and every lambda_i vanish
+    only forces t^(k) = 0 and is left out.
+    """
+    vr = _rational_v_rows(group)
+    nv = len(vr)
+    p_parts = rational_parts(p)
+    lam_parts = [rational_parts(v) for v in group.lambda_basis]
+    live = [k for k, part in enumerate(p_parts) if any(part) or any(any(lp[k]) for lp in lam_parts)]
+    rows, rhs = [], []
+    for t, k in enumerate(live):
+        for i in range(group.dimension):
+            row = [Fraction(0)] * (len(live) * nv) + [lp[k][i] for lp in lam_parts]
+            for j, v in enumerate(vr):
+                row[t * nv + j] = v[i]
+            rows.append(row)
+            rhs.append(p_parts[k][i])
+    sol = rl.solve(rows, rhs)
+    if sol is None:
         return None
-    alpha = splits[0][0]
-    scaled = []
-    for s, _ in splits:
-        r = rational_ratio(alpha, s)
-        if r is None:
-            return None
-    # express p in the same scaled frame: p = alpha * q requires ratios
-    psplit = scalar_direction_split(p)
-    if psplit is None:
+    m = sol[len(live) * nv:]
+    if any(c.denominator != 1 for c in m):
         return None
-    pscale, pdir = psplit
-    r = rational_ratio(alpha, pscale)
-    if r is None:
-        return None
-    basis = group.basis
-    q = point_from_fractions(basis, [r * c for c in pdir])
-    lam_scaled = []
-    for s, w in splits:
-        rr = rational_ratio(alpha, s)
-        lam_scaled.append(point_from_fractions(basis, [rr * c for c in w]))
-    sub = ClosedSubgroup(
-        group.dimension,
-        basis,
-        group.v_basis,
-        tuple(lam_scaled),
-        group.orthogonal,
-        group.provenance,
-        group.route,
-    )
-    return _coset_coordinates(q, sub)
+    return [int(c) for c in m]
 
 
 def _membership_in_span(p: Point, v_basis, basis) -> bool:
@@ -1017,8 +820,8 @@ def _lattice_keys_in_ball(group: ClosedSubgroup, radius: float):
     return keys
 
 
-def _verify_symmetry_pairing(keys, parts, basis):
-    """mu_a(.) must equal mu_{-a}(-.) atom by atom."""
+def _verify_symmetry_pairing(keys, parts):
+    """mu_a(.) must equal mu_{-a}(-.) atom by atom, as multisets of (point, weight)."""
     index = {k: i for i, k in enumerate(keys)}
     for k, part in zip(keys, parts):
         nk = tuple(-x for x in k)
@@ -1026,13 +829,6 @@ def _verify_symmetry_pairing(keys, parts, basis):
             if part:
                 raise DecompositionError(f"missing mirror coset for {k}")
             continue
-        mirror = dict()
-        for p, w in parts[index[nk]]:
-            mirror[tuple(-c for c in p)] = w
-        for p, w in part:
-            if p not in mirror or not (mirror[p] - w).is_zero():
-                raise DecompositionError(f"symmetry pairing fails at coset {k}")
-
-
-def _fmt_point(p: Point) -> str:
-    return "(" + ", ".join(format_coordinate(c) for c in p) + ")"
+        mirror = parts[index[nk]]
+        if (part or mirror) and Counter(part) != Counter((negate_point(p), w) for p, w in mirror):
+            raise DecompositionError(f"symmetry pairing fails at coset {k}")

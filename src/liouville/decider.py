@@ -139,11 +139,9 @@ def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
 
     extra_points = []
     extra_dirs = []
-    unbounded = None
     for seq, kind, payload in sequence_certifications(mu):
         if kind == "unbounded":
             extra_dirs.append(seq.direction)
-            unbounded = seq
         elif kind == "lattice":
             extra_points.append(tuple(c.scale(payload) for c in seq.direction))
     enriched = desc.with_extra(points=extra_points, directions=extra_dirs)
@@ -165,29 +163,11 @@ def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
             assumptions=assumptions,
         )
     if cl.is_full():
-        route = _dense_route(cl.route, unbounded)
-        witness = cl.witness
-        if route == "unbounded_q_sequence" and unbounded is not None:
-            witness = _unbounded_witness(unbounded)
         return LiouvilleVerdict(
-            True, True, route, mu.dimension, closure=cl, witness=witness,
+            True, True, cl.route.value, mu.dimension, closure=cl, witness=cl.witness,
             assumptions=assumptions,
         )
     return _failure_verdict(mu, cl, enriched, assumptions)
-
-
-def _dense_route(closure_route: str, unbounded) -> str:
-    if "kronecker" in closure_route:
-        return "kronecker"
-    if "irrational_pair" in closure_route:
-        return "irrational_pair"
-    if "accumulation" in closure_route:
-        return "unbounded_q_sequence" if unbounded is not None else "accumulation"
-    if closure_route in ("interval_or_ball", "affine_span"):
-        return "interval_or_ball"
-    if unbounded is not None:
-        return "unbounded_q_sequence"
-    return "interval_or_ball" if "affine" in closure_route else "irrational_pair"
 
 
 def _failure_verdict(mu, cl, desc, assumptions) -> LiouvilleVerdict:

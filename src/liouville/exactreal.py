@@ -302,6 +302,11 @@ def format_coordinate(x: ExtendedRational) -> str:
     return " ".join(parts)
 
 
+def format_point(p) -> str:
+    """A point as "(x1, ..., xd)" in canonical coordinate strings."""
+    return "(" + ", ".join(format_coordinate(c) for c in p) + ")"
+
+
 # -- ratios and Q values -------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from .exactreal import (
     ConstantBasis,
     ExtendedRational,
     format_coordinate,
+    format_point,
     parse_coordinate,
 )
 
@@ -597,10 +598,10 @@ def validate_measure(mu: LevyMeasure) -> LevyMeasure:
         if q in merged:
             if not (merged[q] - w).is_zero():
                 raise MeasureSpecError(
-                    f"asymmetric weights at {_point_str(p)}: {w} vs {merged[q]}"
+                    f"asymmetric weights at {format_point(p)}: {w} vs {merged[q]}"
                 )
         elif mu.symmetry_mode == "strict":
-            raise MeasureSpecError(f"missing mirror atom for {_point_str(p)} (strict mode)")
+            raise MeasureSpecError(f"missing mirror atom for {format_point(p)} (strict mode)")
         else:
             completed[q] = w
     atoms = tuple(
@@ -629,10 +630,6 @@ def validate_measure(mu: LevyMeasure) -> LevyMeasure:
 
 def _point_key(p: Point):
     return tuple(float(c) for c in p)
-
-
-def _point_str(p: Point) -> str:
-    return "(" + ", ".join(format_coordinate(c) for c in p) + ")"
 
 
 # -- derived views ------------------------------------------------------------------

@@ -106,22 +106,34 @@ def _condition_al(points):
     )
 
 
-FAILED_VERDICTS = []  # (measure, verdict), shared with criteria 5 and 6
-
-
-def test_criterion_2_bruteforce_equivalence():
+@pytest.fixture(scope="module")
+def random_1d_verdicts():
+    """(values, measure, verdict) for the 500 random supports, and the time taken."""
     t0 = time.perf_counter()
-    supports = _random_supports(500, seed=20240809)
-    agree = 0
-    for basis, vals in supports:
+    out = []
+    for basis, vals in _random_supports(500, seed=20240809):
         mu = _atomic(basis, [(v,) for v in vals])
-        v = decide_1d(mu)
+        out.append((vals, mu, decide_1d(mu)))
+    return out, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def failed_verdicts(random_1d_verdicts):
+    """(measure, verdict) for every failing case of criteria 2 and 3."""
+    out = [(mu, v) for _, mu, v in random_1d_verdicts[0] if v.holds is False]
+    for name in ("kronecker_sqrt2_sqrt2.yaml", "kronecker_rational.yaml"):
+        mu = load(name)
+        out.append((mu, decide(mu)))
+    return out
+
+
+def test_criterion_2_bruteforce_equivalence(random_1d_verdicts):
+    verdicts, dt = random_1d_verdicts
+    agree = 0
+    for vals, mu, v in verdicts:
         expected = _condition_al(vals)
         assert v.holds == expected
         agree += 1
-        if v.holds is False:
-            FAILED_VERDICTS.append((mu, v))
-    dt = time.perf_counter() - t0
     assert dt < 10.0, f"suite took {dt:.1f}s"
     report(2, agree == 500, f"500/500 agreement with exhaustive Q(a,b) in {dt:.1f}s")
 
@@ -142,12 +154,10 @@ def test_criterion_3_kronecker_suite():
     assert v_dep.holds is False
     dep = v_dep.closure.witness["dependency"]
     assert dep is not None and any(x != 0 for x in dep)
-    FAILED_VERDICTS.append((mu_dep, v_dep))
 
     mu_rat = load("kronecker_rational.yaml")
     v_rat = decide(mu_rat)
     assert v_rat.holds is False and v_rat.route == "lattice"
-    FAILED_VERDICTS.append((mu_rat, v_rat))
 
     # the probe may be inconclusive but must never contradict a certificate
     for mu, verdict in ((mu_dense, v_dense), (mu_dep, v_dep), (mu_rat, v_rat)):
@@ -206,10 +216,10 @@ def test_criterion_4_hnf_against_bruteforce_span():
 # -- criterion 5: decomposition soundness ----------------------------------------------
 
 
-def test_criterion_5_decomposition_soundness():
-    assert FAILED_VERDICTS, "criteria 2-3 must run first"
+def test_criterion_5_decomposition_soundness(failed_verdicts):
+    assert failed_verdicts
     checked = 0
-    for mu, verdict in FAILED_VERDICTS:
+    for mu, verdict in failed_verdicts:
         group = verdict.closure
         dec = decompose_measure(mu, group)
         g = dec.group
@@ -249,12 +259,12 @@ def test_criterion_5_decomposition_soundness():
 # -- criterion 6: counterexample verification --------------------------------------------
 
 
-def test_criterion_6_counterexample_annihilation():
-    assert FAILED_VERDICTS, "criteria 2-3 must run first"
+def test_criterion_6_counterexample_annihilation(failed_verdicts):
+    assert failed_verdicts
     rng = random.Random(99)
     checked = 0
     # exact atomic annihilation at 100 seeded rational points per verdict
-    sample = FAILED_VERDICTS[:: max(1, len(FAILED_VERDICTS) // 40)]
+    sample = failed_verdicts[:: max(1, len(failed_verdicts) // 40)]
     for mu, verdict in sample:
         ce = verdict.counterexample
         ev = OperatorEvaluator(measure=mu)

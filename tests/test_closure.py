@@ -214,7 +214,7 @@ class TestOrthogonalize:
             route="test",
         )
         out = orthogonalize(group)
-        assert out.orthogonal and out.orthogonal_exact
+        assert out.orthogonal
         assert [c.as_rational() for c in out.lambda_basis[0]] == [0, 1]
 
     def test_already_orthogonal_identity(self, plain_basis):
@@ -556,3 +556,106 @@ class TestGeneralizedKronecker:
                     m = rng.randint(-3, 3)
                     acc = tuple(a + c.scale(Fraction(m)) for a, c in zip(acc, g))
                 assert _coset_coordinates(acc, group) is not None, [str(c) for c in acc]
+
+
+class TestGeneralKronecker:
+    """Inputs the single exact algorithm certifies: blocks plus the annihilator."""
+
+    CONSTANTS = (
+        "constants:\n"
+        f'  - {{name: sqrt2, value: "{SQRT2_50}"}}\n'
+        f'  - {{name: sqrt3, value: "{SQRT3_50}"}}\n'
+    )
+
+    def spec(self, *points):
+        lines = "".join(
+            "  - {point: [" + ", ".join(f'"{c}"' for c in p) + '], weight: "1"}\n' for p in points
+        )
+        return f"dimension: {len(points[0])}\n" + self.CONSTANTS + "atoms:\n" + lines
+
+    @pytest.mark.parametrize(
+        "points, holds",
+        [
+            ((("1", "0"), ("0", "1"), ("1", "1"), ("1*sqrt2", "1/3")), False),
+            ((("1", "0"), ("0", "1"), ("1*sqrt2", "1*sqrt3"), ("1*sqrt3", "1*sqrt2")), True),
+            ((("1*sqrt2", "0"), ("0", "1*sqrt2"), ("1", "1")), False),
+            ((("1", "0"), ("2", "0"), ("0", "1"), ("1*sqrt2", "1*sqrt2")), False),
+            ((("4/3", "0", "0"), ("2/3", "0", "0"), ("0", "1*sqrt2", "0"), ("0", "0", "1/2")), False),
+        ],
+    )
+    def test_certified_verdicts(self, points, holds):
+        from liouville.closure import _validate_certificate
+        from liouville.decider import decide
+
+        mu = parse_measure(self.spec(*points))
+        v = decide(mu)
+        assert v.certified and v.holds is holds
+        if not holds:
+            assert v.certificate.exact
+            _validate_certificate(v.certificate, support_of(mu))
+            for atom in mu.atoms:
+                assert _coset_coordinates(atom.point, v.closure) is not None
+
+    def test_annihilator_of_the_extra_rational_point(self):
+        # (1,0), (0,1), (1,1), (sqrt2, 1/3): xi = (0, 3) annihilates the group
+        cl = closure_multid(support_of(parse_measure(self.spec(
+            ("1", "0"), ("0", "1"), ("1", "1"), ("1*sqrt2", "1/3")
+        ))))
+        assert cl.route == "kronecker" and cl.witness["dependency"] == (0, 3)
+        assert [[c.as_rational() for c in v] for v in cl.v_basis] == [[1, 0]]
+        assert [[c.as_rational() for c in v] for v in cl.lambda_basis] == [[0, Fraction(1, 3)]]
+
+    def test_scaled_frame(self):
+        # alpha = sqrt2: the closure is (1, 1) R + sqrt2 (1, 0) Z
+        cl = closure_multid(support_of(parse_measure(self.spec(
+            ("1*sqrt2", "0"), ("0", "1*sqrt2"), ("1", "1")
+        ))))
+        assert cl.witness["dependency"] == (1, -1)
+        assert [c.coords for c in cl.lambda_basis[0]] == [(0, 1, 0), (0, 0, 0)]
+
+    def test_products_of_constants_stay_uncertified(self, tmp_path, capsys):
+        from liouville.cli import main
+
+        spec = tmp_path / "products.yaml"
+        spec.write_text(self.spec(("1", "1*sqrt2"), ("1*sqrt2", "1"), ("1", "0")))
+        assert main(["decide", str(spec), "--no-timestamp"]) == 20
+        assert "verdict: uncertified" in capsys.readouterr().out
+
+
+class TestDecomposeRegressions:
+    def test_mixed_scale_lattice_has_a_coset_for_every_atom(self, tmp_path, capsys):
+        from liouville.cli import main
+
+        spec = tmp_path / "mixed.yaml"
+        spec.write_text(
+            "dimension: 3\n"
+            "constants:\n"
+            f'  - {{name: sqrt2, value: "{SQRT2_50}"}}\n'
+            "atoms:\n"
+            '  - {point: ["211/14", "0", "0"], weight: "1"}\n'
+            '  - {point: ["0", "211/7 + 633/14*sqrt2", "0"], weight: "1"}\n'
+            '  - {point: ["0", "0", "422/21"], weight: "1"}\n'
+        )
+        assert main(["decompose", str(spec), "--no-timestamp"]) == 10
+        out = capsys.readouterr().out
+        assert out.count("  atom: ") == 6
+
+    def test_atom_on_a_sequence_point_pairs_with_its_mirror(self):
+        from liouville.decider import decide
+
+        text = (
+            "dimension: 1\n"
+            "atoms:\n"
+            '  - {point: ["2"], weight: "1/3"}\n'
+            "sequences:\n"
+            "  - template: poly_ratio\n"
+            '    numerator: ["1", "1"]\n'
+            '    denominator: ["1"]\n'
+            '    weights: {kind: power, c: "1", s: 2}\n'
+            "    truncation: 6\n"
+        )
+        mu = parse_measure(text)
+        dec = decompose_measure(mu, decide(mu).closure)
+        parts = dict(zip(dec.coset_keys, dec.parts))
+        assert sorted(str(w) for _, w in parts[(2,)]) == ["1", "1/3"]
+        assert sorted(str(w) for _, w in parts[(-2,)]) == ["1", "1/3"]
