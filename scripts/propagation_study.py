@@ -2,9 +2,12 @@
 """Covering-radius study: how fast do iterated support sums fill a window?
 
 Runs the Minkowski-sum iteration on four 1-d supports (a lattice, two
-irrational pairs, and the 355/113 near-rational adversary) and writes one CSV
-per run.  The adversary plateaus at the same deltas as pi for small n, which
-is exactly why the probe never certifies anything.
+irrational pairs, and the 355/113 near-rational adversary), writes one CSV
+per run and prints the density probe's verdict on the same run.  The adversary
+plateaus at the same deltas as pi for small n, which is exactly why the probe
+never certifies anything.
+
+    python scripts/propagation_study.py --n-max 40 --out-dir propagation_csv
 """
 
 import argparse
@@ -15,7 +18,7 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from liouville.exactreal import ConstantBasis, ExtendedRational
-from liouville.numerics import density_probe, propagate
+from liouville.numerics import classify_propagation, propagate
 
 SQRT2 = "1.41421356237309504880168872420969807856967187537695"
 PI = "3.14159265358979323846264338327950288419716939937511"
@@ -45,7 +48,7 @@ def main():
     out.mkdir(exist_ok=True)
     for name, pts in supports():
         state = propagate(pts, R=args.R, n_max=args.n_max)
-        probe = density_probe(pts, R=args.R, n_max=args.n_max)
+        probe = classify_propagation(state)
         path = out / f"{name}.csv"
         with open(path, "w") as fh:
             fh.write("n,points,delta\n")

@@ -2,7 +2,8 @@
 
 Reports are deterministic key/value documents with a stable field order; all
 floats print with 17 significant digits so repeated runs are diffable.  Exit
-codes: 0 = Liouville holds, 10 = fails, 20 = uncertified, 2 = input error.
+codes: 0 = Liouville holds, 10 = fails, 20 = uncertified, 2 = input error,
+1 = the reader of stdout closed it early (e.g. `liouville ... | head`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ from .closure import closure_multid, decompose_measure
 from .decider import decide
 from .exactreal import format_coordinate, format_point
 from .measures import MeasureSpecError, parse_measure, support_of
-from .numerics import OperatorEvaluator, builtin_function, density_probe, eval_operator, propagate
+from .numerics import (
+    OperatorEvaluator,
+    builtin_function,
+    classify_propagation,
+    density_probe,
+    eval_operator,
+    propagate,
+)
 
 log = logging.getLogger("liouville")
 
@@ -30,6 +38,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 10
 EXIT_UNCERTIFIED = 20
 EXIT_INPUT_ERROR = 2
+EXIT_BROKEN_PIPE = 1
 
 
 def _fmt(v) -> str:
@@ -273,16 +282,19 @@ def cmd_propagate(args) -> int:
     if not desc.finite_points:
         print("no finite support points to propagate", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    points = list(desc.finite_points)
     state = propagate(
-        list(desc.finite_points),
+        points,
         R=args.R,
         n_max=args.n_max,
         target_delta=args.target_delta,
         grid_div=args.grid_div,
     )
-    probe = density_probe(
-        list(desc.finite_points), R=args.R, n_max=min(args.n_max, 40), grid_div=args.grid_div
-    )
+    probe_layers = min(args.n_max, 40)
+    if state.n >= probe_layers or state.flagged_partial:
+        probe = classify_propagation(state.prefix(probe_layers))
+    else:  # --target-delta stopped the CSV run before the probe's layer count
+        probe = density_probe(points, R=args.R, n_max=probe_layers, grid_div=args.grid_div)
     rows = state.csv_rows()
     out = ["n,points,delta"] + [f"{n},{size},{_fmt(delta)}" for n, size, delta in rows]
     csv_text = "\n".join(out)
@@ -409,7 +421,15 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull so that the interpreter's
+        # final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -10,21 +10,22 @@ bound: analytic tails plus embedded half-resolution quadrature estimates.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 from scipy import special
 
-from .exactreal import ExtendedRational, basis_floats
+from .exactreal import ConstantBasis, ExtendedRational, basis_floats
 from .measures import (
     AffinePart,
     AnyContinuous,
     ConvolutionPart,
     FractionalPart,
     LevyMeasure,
-    Point,
     RelativisticPart,
     SphereSurfacePart,
 )
@@ -582,21 +583,62 @@ def _simpson_log_vec(f, lo, hi, per_decade):
 
 @dataclass
 class PropagationState:
-    """Iterated sets A_{n+1} = A_n + supp, kept as a growing union in a window."""
+    """Iterated sets A_{n+1} = A_n + supp, kept as a growing union in a window.
+
+    Points are stored in insertion order (the origin, then each layer) twice:
+    `keys` holds them exactly, as integer vectors over the common denominator
+    `denominator` of the steps (coordinate i, basis element k at index
+    i*(m+1) + k), and `positions` (shape (size, d)) holds their float values,
+    each the sum of the step floats along the path that first reached it.
+    """
 
     R: float
     n: int
-    points: list
     sizes: list
     deltas: list
     flagged_partial: bool = False
+    basis: ConstantBasis | None = None
+    denominator: int = 1
+    keys: list = field(default_factory=list, repr=False)
+    positions: np.ndarray | None = field(default=None, repr=False)
 
     def csv_rows(self):
         return [(k + 1, self.sizes[k], self.deltas[k]) for k in range(len(self.deltas))]
 
+    @functools.cached_property
+    def points(self):
+        """The reached points as tuples of ExtendedRational, in insertion order."""
+        width = self.basis.size + 1
+        return [
+            tuple(
+                ExtendedRational(
+                    self.basis,
+                    tuple(Fraction(c, self.denominator) for c in key[i : i + width]),
+                )
+                for i in range(0, len(key), width)
+            )
+            for key in self.keys
+        ]
 
-def _point_key(p: Point):
-    return tuple(c.coords for c in p)
+    def prefix(self, layers: int) -> "PropagationState":
+        """The state after the first `layers` layers (at most all of them).
+
+        A run with n_max = `layers` and no target reaches exactly this state:
+        each layer depends only on the layers before it.
+        """
+        n = max(0, min(layers, self.n))
+        size = self.sizes[n - 1] if n else 1
+        return PropagationState(
+            R=self.R,
+            n=n,
+            sizes=self.sizes[:n],
+            deltas=self.deltas[:n],
+            flagged_partial=self.flagged_partial and n == self.n,
+            basis=self.basis,
+            denominator=self.denominator,
+            keys=self.keys[:size],
+            positions=self.positions[:size],
+        )
 
 
 def propagate(
@@ -608,7 +650,12 @@ def propagate(
     margin: float | None = None,
     cap: int = 5_000_000,
 ) -> PropagationState:
-    """Minkowski-sum iteration with exact deduplication and covering radii."""
+    """Minkowski-sum iteration with exact deduplication and covering radii.
+
+    Each layer adds every step to every point of the previous layer, keeps the
+    candidates within R + margin of the origin, and of those the first in
+    (frontier, step) order for each exact point not reached before.
+    """
     if not support_points:
         raise ValueError("propagate needs a nonempty finite support")
     if R <= 0:
@@ -616,58 +663,73 @@ def propagate(
     d = len(support_points[0])
     basis = support_points[0][0].basis
 
-    steps = []
-    seen_steps = set()
-    for p in support_points:
-        for q in (p, tuple(-c for c in p)):
-            key = _point_key(q)
-            if key not in seen_steps:
-                seen_steps.add(key)
-                steps.append(tuple(c.coords for c in q))
-    step_floats = [np.array([_coords_float(c, basis) for c in s]) for s in steps]
+    steps = list(dict.fromkeys(
+        tuple(c.coords for c in q) for p in support_points for q in (p, tuple(-c for c in p))
+    ))
+    denominator = math.lcm(*(f.denominator for s in steps for c in s for f in c))
+    step_keys = [tuple(int(f * denominator) for c in s for f in c) for s in steps]
+    floats = basis_floats(basis)
+    step_pos = np.array(
+        [[float(sum(float(f) * v for f, v in zip(c, floats))) for c in s] for s in steps]
+    )
     if margin is None:
-        margin = max(float(np.linalg.norm(v)) for v in step_floats)
+        margin = max(float(np.linalg.norm(v)) for v in step_pos)
     lim = R + margin
 
-    zero = tuple(tuple(Fraction(0) for _ in range(basis.size + 1)) for _ in range(d))
-    current = {zero: np.zeros(d)}
+    keys = [(0,) * (d * (basis.size + 1))]
+    seen = set(keys)
+    layers = [np.zeros((1, d))]
     grid = _probe_grid(d, R, grid_div)
+    dmin = _nearest(grid, layers[0], math.inf)
 
-    state = PropagationState(R=R, n=0, points=[], sizes=[], deltas=[])
-    frontier = dict(current)
+    state = PropagationState(
+        R=R, n=0, sizes=[], deltas=[], basis=basis, denominator=denominator
+    )
+    front_keys, front_pos = list(keys), layers[0]
     for n in range(1, n_max + 1):
-        new_frontier = {}
-        for key, vec in frontier.items():
-            for step, svec in zip(steps, step_floats):
-                cand = tuple(
-                    tuple(a + b for a, b in zip(ck, sk)) for ck, sk in zip(key, step)
-                )
-                if cand in current or cand in new_frontier:
-                    continue
-                cvec = vec + svec
-                if np.linalg.norm(cvec) <= lim:
-                    new_frontier[cand] = cvec
-        current.update(new_frontier)
-        frontier = new_frontier
-        if len(current) > cap:
+        front_keys, front_pos = _next_layer(front_keys, front_pos, step_keys, step_pos, lim, seen)
+        keys.extend(front_keys)
+        layers.append(front_pos)
+        if front_keys:
+            dmin = np.minimum(dmin, _nearest(grid, front_pos, dmin.max()))
+        if len(keys) > cap:
             state.flagged_partial = True
-        arr = np.array(list(v for v in current.values()))
-        state.deltas.append(_covering_radius(arr, grid, d))
-        state.sizes.append(len(current))
+        state.deltas.append(float(dmin.max()))
+        state.sizes.append(len(keys))
         state.n = n
         if state.flagged_partial:
             break
         if target_delta is not None and state.deltas[-1] <= target_delta:
             break
-    state.points = [
-        tuple(ExtendedRational(basis, c) for c in key) for key in current
-    ]
+    state.keys = keys
+    state.positions = np.concatenate(layers)
     return state
 
 
-def _coords_float(coords, basis):
-    vals = basis_floats(basis)
-    return float(sum(float(c) * v for c, v in zip(coords, vals)))
+_CANDIDATES_PER_PASS = 1 << 16  # bounds the temporary arrays of one numpy pass
+
+
+def _next_layer(front_keys, front_pos, step_keys, step_pos, lim, seen):
+    """Keys and floats of the points one step from the frontier that are new and in the window.
+
+    Adds the new keys to `seen`.  Candidates are frontier float + step float, tested
+    against the window in numpy passes over blocks of frontier rows.
+    """
+    n_steps, d = step_pos.shape
+    rows = max(1, _CANDIDATES_PER_PASS // n_steps)
+    new_keys, new_pos = [], [np.empty((0, d))]
+    for lo in range(0, len(front_keys), rows):
+        cand = (front_pos[lo : lo + rows, None, :] + step_pos[None, :, :]).reshape(-1, d)
+        picks = []
+        for idx in np.flatnonzero(np.linalg.norm(cand, axis=1) <= lim).tolist():
+            f, s = divmod(idx, n_steps)
+            key = tuple(map(operator.add, front_keys[lo + f], step_keys[s]))
+            if key not in seen:
+                seen.add(key)
+                new_keys.append(key)
+                picks.append(idx)
+        new_pos.append(cand[picks])
+    return new_keys, np.concatenate(new_pos)
 
 
 def _probe_grid(d, R, grid_div):
@@ -678,17 +740,16 @@ def _probe_grid(d, R, grid_div):
     return mesh[np.linalg.norm(mesh, axis=1) <= R]
 
 
-def _covering_radius(points: np.ndarray, grid: np.ndarray, d: int) -> float:
-    if d == 1:
-        arr = np.sort(points[:, 0])
-        g = grid[:, 0]
-        idx = np.clip(np.searchsorted(arr, g), 1, len(arr) - 1)
-        dmin = np.minimum(np.abs(g - arr[idx - 1]), np.abs(g - arr[idx]))
-        return float(dmin.max())
+def _nearest(grid: np.ndarray, points: np.ndarray, bound: float) -> np.ndarray:
+    """Distance from each grid point to the nearest of `points`; inf where it exceeds bound.
+
+    A running minimum lowered with this over each new layer, bounded by its own
+    maximum, stays exact: a new point that is closer than an entry is within the bound.
+    """
     from scipy.spatial import cKDTree
 
-    dmin, _ = cKDTree(points).query(grid)
-    return float(dmin.max())
+    dist, _ = cKDTree(points).query(grid, distance_upper_bound=bound)
+    return dist
 
 
 # -- density probe --------------------------------------------------------------------
@@ -714,37 +775,40 @@ def density_probe(
 ) -> ProbeResult:
     """Numerical surrogate: never a certificate, only a diagnostic direction."""
     state = propagate(support_points, R=R, n_max=n_max, grid_div=grid_div)
-    deltas = state.deltas
-    d = len(support_points[0])
-    pts = np.array([[float(c) for c in p] for p in state.points])
+    return classify_propagation(state, snap_tol)
 
+
+def classify_propagation(state: PropagationState, snap_tol: float = 1e-9) -> ProbeResult:
+    """The density probe's verdict on a propagation already run.
+
+    Fits a lattice to the float positions of the reached points; `density_probe`
+    is `propagate` followed by this.
+    """
+    deltas = state.deltas
     plateau = len(deltas) >= 5 and max(deltas[-5:]) - min(deltas[-5:]) < 1e-12
-    g_est, basis_est, residual = _lattice_fit(pts, d, snap_tol)
+    g_est, basis_est, residual = _lattice_fit(state.positions, snap_tol)
     snapped = residual is not None and residual < snap_tol
 
     if plateau and snapped:
-        return ProbeResult(
-            "lattice-detected",
-            g_est,
-            basis_est,
-            tuple(deltas),
-            tuple(state.sizes),
-            residual,
-            state.flagged_partial,
-        )
-    if deltas and deltas[-1] <= R / 50 and deltas[-1] <= deltas[0] / 10:
-        return ProbeResult(
-            "dense-likely", None, None, tuple(deltas), tuple(state.sizes), residual,
-            state.flagged_partial,
-        )
+        verdict = "lattice-detected"
+    elif deltas and deltas[-1] <= state.R / 50 and deltas[-1] <= deltas[0] / 10:
+        verdict, g_est, basis_est = "dense-likely", None, None
+    else:
+        verdict, g_est, basis_est = "inconclusive", None, None
     return ProbeResult(
-        "inconclusive", None, None, tuple(deltas), tuple(state.sizes), residual,
+        verdict,
+        g_est,
+        basis_est,
+        tuple(deltas),
+        tuple(state.sizes),
+        residual,
         state.flagged_partial,
     )
 
 
-def _lattice_fit(pts: np.ndarray, d: int, tol: float):
+def _lattice_fit(pts: np.ndarray, tol: float):
     """Fit a lattice to the point set; returns (g, basis, max residual)."""
+    d = pts.shape[1]
     nz = pts[np.linalg.norm(pts, axis=1) > 1e-12]
     if len(nz) == 0:
         return None, None, None

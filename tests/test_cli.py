@@ -1,16 +1,28 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from liouville import cli, numerics
 from liouville.cli import main, parse_report
+from liouville.measures import parse_measure, support_of
 from conftest import spec_path
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def density_probe_verdict(spec, R, n_max, grid_div):
+    with open(spec_path(spec)) as fh:
+        points = list(support_of(parse_measure(fh.read())).finite_points)
+    return numerics.density_probe(points, R=R, n_max=n_max, grid_div=grid_div).verdict
 
 
 class TestExitCodes:
@@ -151,6 +163,28 @@ class TestOtherCommands:
         assert all(b <= a + 1e-15 for a, b in zip(deltas, deltas[1:]))
         assert deltas[-1] < 0.05
 
+    def test_propagate_runs_one_propagation(self, monkeypatch, capsys):
+        calls, original = [], numerics.propagate
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "propagate", counted)
+        monkeypatch.setattr(numerics, "propagate", counted)
+        code, out, err = run(capsys, "propagate", spec_path("sqrt2_pair.yaml"), "--R", "5", "--n-max", "50")
+        assert code == 0
+        assert len(calls) == 1
+        assert len(out.splitlines()) == 51
+        assert err.splitlines()[0] == f"probe: {density_probe_verdict('sqrt2_pair.yaml', 5.0, 40, 200)}"
+
+    def test_propagate_stopped_by_target_runs_the_full_probe(self, capsys):
+        code, out, err = run(capsys, "propagate", spec_path("sqrt2_pair.yaml"),
+                             "--R", "5", "--n-max", "40", "--target-delta", "0.05")
+        assert code == 0
+        assert len(out.splitlines()) < 41
+        assert err.splitlines()[0] == f"probe: {density_probe_verdict('sqrt2_pair.yaml', 5.0, 40, 200)}"
+
     def test_verify_command(self, capsys):
         code, out, _ = run(
             capsys,
@@ -184,3 +218,26 @@ class TestStrictSymmetryFlag:
         code, _, err = run(capsys, "decide", str(spec), "--no-timestamp", "--strict-symmetry")
         assert code == 2
         assert "mirror" in err
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", spec_path("kronecker_rational.yaml"), "--no-timestamp"],
+            ["propagate", spec_path("discrete_laplacian.yaml"), "--R", "5", "--n-max", "40"],
+        ],
+    )
+    def test_closed_stdout_exits_quietly(self, argv):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "liouville.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader leaves before the first write, as `| head` may
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+        assert "Traceback" not in err and "BrokenPipeError" not in err

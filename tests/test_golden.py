@@ -1,8 +1,16 @@
-"""Golden reports: `decide` and `decompose` on every bundled spec.
+"""Golden reports: `decide` and `decompose` on every bundled spec, `propagate`.
 
 Each file under tests/golden/ holds the exit code, stdout and stderr of one
 `liouville <command> specs/<spec>.yaml --no-timestamp` run.  The closure engine
 may change how it reaches a verdict, but not a byte of these reports.
+
+The propagate files hold the CSV (stdout) and the probe lines (stderr) of
+`liouville propagate` on every bundled spec with finite support points at a small
+window, and at the configurations of the probe-fallback benchmark workload.  The
+sequence specs are left out: with their 2,000 and 200 steps each run takes
+minutes and gigabytes even at the small window.  `probe_products.decide.txt` is
+the report of an input the exact closure cannot decide, with the probe deltas.
+
 Regenerate after an intended report change with
 `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -22,16 +30,67 @@ GOLDEN_DIR = os.path.join(HERE, "golden")
 SPECS = sorted(f[:-5] for f in os.listdir(SPEC_DIR) if f.endswith(".yaml"))
 COMMANDS = ("decide", "decompose")
 
+SMALL_WINDOW = ["--R", "3", "--n-max", "6", "--grid-div", "40"]
+FINITE_SPECS = (
+    "discrete_laplacian",
+    "kronecker_rational",
+    "kronecker_sqrt2_sqrt2",
+    "kronecker_sqrt2_sqrt3",
+    "nonstandard_laplacian",
+    "nonuniform_grid_2d",
+    "sqrt2_pair",
+)
+# golden name -> propagate arguments after the spec path
+PROPAGATE_CASES = {f"{spec}.propagate": (spec, SMALL_WINDOW) for spec in FINITE_SPECS}
+PROPAGATE_CASES.update({
+    "nonuniform_grid_2d.propagate-R3-n30-g100": (
+        "nonuniform_grid_2d", ["--R", "3", "--n-max", "30", "--grid-div", "100"]),
+    "kronecker_sqrt2_sqrt3.propagate-R3-n12-g60": (
+        "kronecker_sqrt2_sqrt3", ["--R", "3", "--n-max", "12", "--grid-div", "60"]),
+    "kronecker_rational.propagate-R3-n20-g60": (
+        "kronecker_rational", ["--R", "3", "--n-max", "20", "--grid-div", "60"]),
+    "sqrt2_pair.propagate-R5-n40": ("sqrt2_pair", ["--R", "5", "--n-max", "40"]),
+    "discrete_laplacian.propagate-R5-n40": ("discrete_laplacian", ["--R", "5", "--n-max", "40"]),
+})
+PROBE_INPUT = os.path.join(GOLDEN_DIR, "probe_products.yaml")
 
-def capture(command: str, spec: str) -> str:
+
+def run(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, os.path.join(SPEC_DIR, spec + ".yaml"), "--no-timestamp"])
+        code = main(argv)
     return f"exit_code: {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def spec_path(spec: str) -> str:
+    return os.path.join(SPEC_DIR, spec + ".yaml")
+
+
+def capture(command: str, spec: str) -> str:
+    return run([command, spec_path(spec), "--no-timestamp"])
+
+
+def capture_propagate(name: str) -> str:
+    spec, extra = PROPAGATE_CASES[name]
+    return run(["propagate", spec_path(spec)] + extra)
+
+
+def capture_probe_decide() -> str:
+    return run(["decide", PROBE_INPUT, "--no-timestamp"])
 
 
 def golden_path(command: str, spec: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{spec}.{command}.txt")
+
+
+def read_golden(path: str) -> str:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def write_golden(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def test_every_spec_has_golden_files():
@@ -44,14 +103,23 @@ def test_every_spec_has_golden_files():
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("spec", SPECS)
 def test_report_matches_golden(command, spec):
-    with open(golden_path(command, spec), "r", encoding="utf-8", newline="") as fh:
-        expected = fh.read()
-    assert capture(command, spec) == expected
+    assert capture(command, spec) == read_golden(golden_path(command, spec))
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATE_CASES))
+def test_propagate_matches_golden(name):
+    assert capture_propagate(name) == read_golden(os.path.join(GOLDEN_DIR, name + ".txt"))
+
+
+def test_probe_decide_matches_golden():
+    assert capture_probe_decide() == read_golden(golden_path("decide", "probe_products"))
 
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for spec in SPECS:
         for command in COMMANDS:
-            with open(golden_path(command, spec), "w", encoding="utf-8", newline="") as fh:
-                fh.write(capture(command, spec))
+            write_golden(golden_path(command, spec), capture(command, spec))
+    for name in PROPAGATE_CASES:
+        write_golden(os.path.join(GOLDEN_DIR, name + ".txt"), capture_propagate(name))
+    write_golden(golden_path("decide", "probe_products"), capture_probe_decide())

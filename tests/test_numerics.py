@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from liouville.exactreal import ConstantBasis, ExtendedRational
+from liouville import numerics
 from liouville.measures import parse_measure, support_of
 from liouville.numerics import (
     OperatorEvaluator,
@@ -230,6 +231,61 @@ class TestPropagate:
         state = propagate(pts, R=5.0, n_max=40, cap=50)
         assert state.flagged_partial
         assert state.n < 40
+
+    def test_denominators_beyond_int64_match_fraction_oracle(self, plain_basis):
+        qs = [Fraction(1, 10000019), Fraction(1, 10000079), Fraction(1, 10000103)]
+        assert math.lcm(*(q.denominator for q in qs)) > 2**63
+        R, n_max, grid_div = 4e-7, 8, 50
+        state = propagate([(er(plain_basis, q),) for q in qs], R=R, n_max=n_max, grid_div=grid_div)
+
+        # breadth-first oracle: the first candidate in (frontier, step) order that lies
+        # in the window claims each new point, with its float summed along the path
+        steps = [s for q in qs for s in (q, -q)]
+        lim = R + max(abs(float(s)) for s in steps)
+        grid = np.linspace(-R, R, 2 * grid_div + 1)
+        reached = {Fraction(0): 0.0}
+        frontier = dict(reached)
+        sizes, deltas = [], []
+        for _ in range(n_max):
+            layer = {}
+            for p, x in frontier.items():
+                for s in steps:
+                    q, y = p + s, x + float(s)
+                    if q not in reached and q not in layer and abs(y) <= lim:
+                        layer[q] = y
+            reached.update(layer)
+            frontier = layer
+            xs = np.array(list(reached.values()))
+            sizes.append(len(reached))
+            deltas.append(float(np.abs(grid[:, None] - xs[None, :]).min(axis=1).max()))
+
+        assert state.sizes == sizes
+        assert state.deltas == deltas
+        assert all(len(p) == 1 and isinstance(p[0], ExtendedRational) for p in state.points)
+        assert [p[0].as_rational() for p in state.points] == list(reached)
+        assert state.positions[:, 0].tolist() == list(reached.values())
+
+    def test_blocked_numpy_passes_match_one_pass(self, sqrt2_basis, monkeypatch):
+        pts = points_1d(sqrt2_basis, er(sqrt2_basis, 1, 0), er(sqrt2_basis, 0, 1))
+        whole = propagate(pts, R=5.0, n_max=15)
+        monkeypatch.setattr(numerics, "_CANDIDATES_PER_PASS", 6)
+        blocked = propagate(pts, R=5.0, n_max=15)
+        assert (blocked.sizes, blocked.deltas, blocked.keys) == (whole.sizes, whole.deltas, whole.keys)
+        assert blocked.positions.tolist() == whole.positions.tolist()
+
+    def test_prefix_is_the_shorter_run(self, sqrt2_basis):
+        pts = [
+            (er(sqrt2_basis, 1, 0), er(sqrt2_basis, 0, 0)),
+            (er(sqrt2_basis, 0, 0), er(sqrt2_basis, 0, 1)),
+            (er(sqrt2_basis, Fraction(1, 2), 1), er(sqrt2_basis, 1, 0)),
+        ]
+        long = propagate(pts, R=2.0, n_max=9, grid_div=30)
+        for layers in (0, 4, 9):
+            short = propagate(pts, R=2.0, n_max=layers, grid_div=30)
+            cut = long.prefix(layers)
+            assert (cut.n, cut.sizes, cut.deltas) == (short.n, short.sizes, short.deltas)
+            assert cut.points == short.points
+            assert cut.positions.tolist() == short.positions.tolist()
 
 
 class TestDensityProbe:
