@@ -26,7 +26,8 @@ from .closure import (
 )
 from .decider import LiouvilleVerdict, decide, decide_1d
 from .counterexample import Counterexample, build_counterexample, check_periodicity
-from .numerics import OperatorEvaluator, PropagationState, density_probe, propagate
+# numerics imports scipy, so it loads on first access: the exact commands never need it
+_NUMERICS = ("OperatorEvaluator", "PropagationState", "density_probe", "propagate")
 
 __all__ = [
     "ConstantBasis",
@@ -62,3 +63,11 @@ __all__ = [
     "propagate",
     "density_probe",
 ]
+
+
+def __getattr__(name):
+    if name in _NUMERICS:
+        from . import numerics
+
+        return getattr(numerics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

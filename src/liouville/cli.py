@@ -16,21 +16,11 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .closure import closure_multid, decompose_measure
 from .decider import decide
 from .exactreal import format_coordinate, format_point
 from .measures import MeasureSpecError, parse_measure, support_of
-from .numerics import (
-    OperatorEvaluator,
-    builtin_function,
-    classify_propagation,
-    density_probe,
-    eval_operator,
-    propagate,
-)
 
 log = logging.getLogger("liouville")
 
@@ -106,10 +96,6 @@ def parse_report(text: str) -> dict:
     return root
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _load(path: str, args=None):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -129,10 +115,14 @@ def _emit(report: Report, args) -> None:
         print(text)
 
 
+def _header(text: str) -> Report:
+    """A report that starts with the tool version and the digest of the input spec."""
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return Report().add("tool", f"liouville {__version__}").add("input_digest", digest)
+
+
 def _verdict_report(text, verdict, args) -> Report:
-    r = Report()
-    r.add("tool", f"liouville {__version__}")
-    r.add("input_digest", _digest(text))
+    r = _header(text)
     if not getattr(args, "no_timestamp", False):
         r.add("generated_at", datetime.now(timezone.utc).isoformat())
     r.add("dimension", verdict.dimension)
@@ -205,9 +195,7 @@ def cmd_closure(args) -> int:
     text, mu = _load(args.spec, args)
     desc = support_of(mu)
     group = closure_multid(desc)
-    r = Report()
-    r.add("tool", f"liouville {__version__}")
-    r.add("input_digest", _digest(text))
+    r = _header(text)
     r.add("dimension", group.dimension)
     r.add("provenance", group.provenance)
     r.add("route", group.route)
@@ -230,9 +218,7 @@ def cmd_decompose(args) -> int:
         print("measure has a dense support group; nothing to decompose", file=sys.stderr)
         return EXIT_INPUT_ERROR
     dec = decompose_measure(mu, verdict.closure)
-    r = Report()
-    r.add("tool", f"liouville {__version__}")
-    r.add("input_digest", _digest(text))
+    r = _header(text)
     r.add("v_dimension", dec.group.v_dim)
     r.add("lattice_rank", dec.group.lattice_rank)
     for v in dec.group.lambda_basis:
@@ -251,15 +237,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    import numpy as np
+
     text, mu = _load(args.spec, args)
     verdict = decide(mu)
     if verdict.holds or not verdict.certified:
         print("Liouville holds (or undecided); no counterexample exists", file=sys.stderr)
         return EXIT_INPUT_ERROR
     ce = verdict.counterexample
-    r = Report()
-    r.add("tool", f"liouville {__version__}")
-    r.add("input_digest", _digest(text))
+    r = _header(text)
     r.add("kind", ce.kind)
     r.add("closed_form", ce.closed_form)
     rng = np.random.default_rng(args.seed)
@@ -277,6 +263,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    from .numerics import classify_propagation, density_probe, propagate
+
     text, mu = _load(args.spec, args)
     desc = support_of(mu)
     if not desc.finite_points:
@@ -310,6 +298,10 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
+    from .numerics import OperatorEvaluator, builtin_function, eval_operator
+
     text, mu = _load(args.spec, args)
     u = builtin_function(args.function, mu.dimension)
     ev = OperatorEvaluator(
@@ -320,9 +312,7 @@ def cmd_verify(args) -> int:
     )
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-2, 2, size=(args.points, mu.dimension))
-    r = Report()
-    r.add("tool", f"liouville {__version__}")
-    r.add("input_digest", _digest(text))
+    r = _header(text)
     r.add("function", args.function)
     r.add("r0", args.r0)
     rows = []
@@ -432,6 +422,9 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:  # propagate keeps every point within R + the longest step
+        print("error: out of memory; for propagate, lower --R or --n-max", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MeasureSpecError as exc:
         print(f"error: invalid measure spec: {exc}", file=sys.stderr)

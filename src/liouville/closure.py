@@ -98,9 +98,6 @@ class HyperplaneCertificate:
     h_basis: tuple[Point, ...]
     exact: bool = True
 
-    def pairing(self, x: Point) -> ExtendedRational:
-        return er_dot(self.normal, x)
-
 
 class ClosureError(ValueError):
     pass
@@ -273,7 +270,7 @@ def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgr
     if v_span:
         # decide the points modulo V, in coordinates along a rational complement
         comp = _rational_complement(v_span, d)
-        reduced = (_reduce_mod_subspace(p, v_span, comp, basis) for p in points)
+        reduced = _reduce_mod_subspace(points, v_span, comp, basis)
         points = [p for p in reduced if not point_is_zero(p)]
     inner = _points_closure(basis, d - len(v_span), points)
     if inner is None:
@@ -447,17 +444,23 @@ def _rational_complement(v_span, d):
     return comp
 
 
-def _reduce_mod_subspace(p: Point, v_span, comp, basis):
-    """Coordinates of p along the complement, solving p = V a + W b exactly."""
-    d = len(p)
+def _reduce_mod_subspace(points, v_span, comp, basis):
+    """Coordinates of each point along the complement, solving p = V a + W b exactly.
+
+    [V W] is square and nonsingular, so one elimination of [V W | every constant
+    slice of every point] solves all the systems together.
+    """
     cols = [list(v) for v in v_span] + [list(w) for w in comp]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(d)]
-    out = [[Fraction(0)] * (basis.size + 1) for _ in comp]
-    for k, part in enumerate(rational_parts(p)):
-        sol = rl.solve(mat, part)
-        for t in range(len(comp)):
-            out[t][k] = sol[len(v_span) + t]
-    return tuple(ExtendedRational(basis, tuple(c)) for c in out)
+    slices = [part for p in points for part in rational_parts(p)]
+    d, m = len(cols), basis.size + 1
+    red, _ = rl.rref([[c[i] for c in cols] + [s[i] for s in slices] for i in range(d)])
+    return [
+        tuple(
+            ExtendedRational(basis, tuple(red[t][d + j * m + k] for k in range(m)))
+            for t in range(len(v_span), d)
+        )
+        for j in range(len(points))
+    ]
 
 
 def _combine(comp_points, coeffs: Point) -> Point:
@@ -667,9 +670,6 @@ class Decomposition:
     parts: tuple[tuple, ...]  # parallel: tuple of (point, weight) atom lists
     separation: float
     mass_off_origin_bound: float
-
-    def part_for(self, key):
-        return self.parts[self.coset_keys.index(tuple(key))]
 
 
 class DecompositionError(ValueError):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .closure import HyperplaneCertificate, er_dot
 from .exactreal import format_coordinate
@@ -32,6 +31,8 @@ class Counterexample:
 
     @property
     def _frequency(self) -> float:
+        import numpy as np
+
         n = np.array([float(c) for c in self.certificate.normal])
         p = float(er_dot(self.certificate.normal, self.certificate.c))
         return 2.0 * math.pi * float(np.linalg.norm(n)) / abs(p)
@@ -73,14 +74,13 @@ class Counterexample:
 
     def value(self, x) -> float:
         """Float-point evaluation for plotting and sampling."""
+        import numpy as np
+
         n = np.array([float(c) for c in self.certificate.normal])
         c = np.array([float(ci) for ci in self.certificate.c])
         x = np.asarray(x, dtype=float)
         lam = (x @ n if x.ndim else x * n[0]) / (c @ n)
         return np.cos(2.0 * np.pi * lam)
-
-    def sample_table(self, points) -> list[tuple]:
-        return [(tuple(map(float, p)), float(self.value(p))) for p in points]
 
 
 class CounterexampleError(ValueError):
@@ -104,6 +104,8 @@ def build_counterexample(cert: HyperplaneCertificate, dimension: int) -> Counter
 
 def check_periodicity(u, generators, samples, tol: float) -> tuple[bool, float]:
     """Max over samples x and generators s of |u(x+s) - u(x)|; True iff <= tol."""
+    import numpy as np
+
     worst = 0.0
     for x in samples:
         xv = np.asarray(x, dtype=float)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 
 class BasisMismatchError(ValueError):
@@ -415,6 +414,8 @@ def density_witness(a: ExtendedRational, b: ExtendedRational, eps: float, cap: i
     then a linear scan below it pins the smallest one.  Only defined for
     irrational ratios: for rational b/a the quantity is bounded away from 0.
     """
+    import numpy as np
+
     a._check(b)
     if a.sign() <= 0 or b.sign() <= 0:
         raise ValueError("density_witness requires a, b > 0")

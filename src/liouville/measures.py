@@ -510,12 +510,6 @@ class LevyMeasure:
     continuous: tuple[AnyContinuous, ...] = ()
     symmetry_mode: str = "complete"
 
-    def is_empty(self) -> bool:
-        return not (self.atoms or self.sequences or self.continuous)
-
-    def zero_point(self) -> Point:
-        return tuple(self.basis.zero() for _ in range(self.dimension))
-
 
 @dataclass(frozen=True)
 class SupportDescriptor:

@@ -216,9 +216,6 @@ class _RadialKernel:
             return self.c * np.exp(-r / self.scale)
         return self.c * (r <= self.scale)
 
-    def singular(self) -> bool:
-        return self.kind in ("fractional", "relativistic")
-
     def moment2_core(self, r_s: float):
         """(value, bound) for the radial integral of r^{d+1} * density over (0, r_s]."""
         if self.kind == "fractional":

@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
+import liouville
 from liouville import cli, numerics
 from liouville.cli import main, parse_report
 from liouville.measures import parse_measure, support_of
-from conftest import spec_path
+from conftest import SPEC_DIR, spec_path
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -170,13 +171,23 @@ class TestOtherCommands:
             calls.append(kwargs)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "propagate", counted)
         monkeypatch.setattr(numerics, "propagate", counted)
         code, out, err = run(capsys, "propagate", spec_path("sqrt2_pair.yaml"), "--R", "5", "--n-max", "50")
         assert code == 0
         assert len(calls) == 1
         assert len(out.splitlines()) == 51
         assert err.splitlines()[0] == f"probe: {density_probe_verdict('sqrt2_pair.yaml', 5.0, 40, 200)}"
+
+    def test_out_of_memory_is_an_input_error(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(numerics, "propagate", exhausted)
+        code, out, err = run(capsys, "propagate", spec_path("sqrt2_pair.yaml"), "--R", "5", "--n-max", "3")
+        assert code == cli.EXIT_INPUT_ERROR
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "--R" in err and "--n-max" in err
 
     def test_propagate_stopped_by_target_runs_the_full_probe(self, capsys):
         code, out, err = run(capsys, "propagate", spec_path("sqrt2_pair.yaml"),
@@ -218,6 +229,64 @@ class TestStrictSymmetryFlag:
         code, _, err = run(capsys, "decide", str(spec), "--no-timestamp", "--strict-symmetry")
         assert code == 2
         assert "mirror" in err
+
+
+def _fresh_interpreter(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLazyImports:
+    """The exact commands never load scipy or `liouville.numerics`."""
+
+    def test_exact_commands_skip_scipy_and_numerics(self):
+        specs = sorted(os.path.join(SPEC_DIR, f) for f in os.listdir(SPEC_DIR) if f.endswith(".yaml"))
+        out = _fresh_interpreter(f"""
+import contextlib, io, json, sys
+from liouville.cli import main
+for command in ("decide", "closure", "decompose", "counterexample"):
+    for spec in {specs!r}:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main([command, spec])
+print(json.dumps([m for m in ("scipy", "liouville.numerics") if m in sys.modules]))
+""")
+        assert json.loads(out) == []
+
+    def test_decide_without_numpy(self):
+        out = _fresh_interpreter(f"""
+import contextlib, io, json, sys
+from liouville.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["decide", {spec_path("fractional.yaml")!r}])
+print(json.dumps("numpy" in sys.modules))
+""")
+        assert json.loads(out) is False
+
+    def test_numerics_names_load_on_first_access(self):
+        out = _fresh_interpreter("""
+import json, sys
+import liouville
+assert "liouville.numerics" not in sys.modules
+from liouville import density_probe, propagate
+from liouville import numerics
+assert propagate is numerics.propagate and density_probe is numerics.density_probe
+print(json.dumps(liouville.__all__))
+""")
+        names = json.loads(out)
+        assert set(names) == {
+            "ConstantBasis", "ExtendedRational", "QValue", "density_witness", "parse_coordinate",
+            "q_of", "rational_gcd", "rational_ratio", "LevyMeasure", "parse_measure",
+            "serialize_measure", "support_of", "lebesgue_split", "ClosedSubgroup",
+            "HyperplaneCertificate", "closure_1d", "closure_multid", "lattice_hnf",
+            "kronecker_check", "orthogonalize", "decompose_measure", "hyperplane_certificate",
+            "LiouvilleVerdict", "decide", "decide_1d", "Counterexample", "build_counterexample",
+            "check_periodicity", "OperatorEvaluator", "PropagationState", "propagate",
+            "density_probe",
+        }
+        for name in names:
+            assert getattr(liouville, name) is not None
 
 
 class TestClosedPipe:
