@@ -27,6 +27,10 @@ class MeasureSpecError(ValueError):
     """Invalid measure-spec document or inconsistent measure data."""
 
 
+# libyaml's parser where PyYAML has it: the same documents, parsed ~7x faster
+_SPEC_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 Point = tuple[ExtendedRational, ...]
 
 
@@ -723,7 +727,7 @@ def lebesgue_split(mu: LevyMeasure) -> LebesgueSplit:
 def parse_measure(text: str, symmetry_override: str | None = None) -> LevyMeasure:
     """Parse and validate a measure-spec document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_SPEC_LOADER)
     except yaml.YAMLError as exc:
         raise MeasureSpecError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict):

@@ -220,14 +220,14 @@ class _RadialKernel:
         """(value, bound) for the radial integral of r^{d+1} * density over (0, r_s]."""
         if self.kind == "fractional":
             return self.c * r_s ** (2 - self.alpha) / (2 - self.alpha), 0.0
+        rule = _Simpson.log_spaced(1e-12, r_s, 80)
+        val = rule.integrate(lambda r: r ** (self.d + 1) * self.density(r))
         if self.kind == "relativistic":
             # K_nu(z) <= Gamma(nu) 2^{nu-1} z^{-nu}: fractional-type closed bound
             cap = self.c * special.gamma(self.nu) * 2 ** (self.nu - 1) / self.m**self.nu
-            val = _log_simpson(lambda r: r ** (self.d + 1) * self.density(r), 1e-12, r_s, 80)
             below = cap * (1e-12) ** (2 - self.alpha) / (2 - self.alpha)
             return val, below
         # bounded kernels: the missing sliver below 1e-12 is k(0) * r^{d+2}/(d+2)
-        val = _log_simpson(lambda r: r ** (self.d + 1) * self.density(r), 1e-12, r_s, 80)
         below = float(self.density(1e-12)) * (1e-12) ** (self.d + 2) / (self.d + 2)
         return val, below
 
@@ -252,7 +252,8 @@ class _RadialKernel:
             return 0.0 if R >= self.scale else area * self.c * (self.scale**self.d - R**self.d) / self.d
         # exponentially decaying kernels: numeric over 60 e-folds + crumbs
         span = 60.0 * (1.0 / self.m if self.kind == "relativistic" else self.scale)
-        val = _log_simpson(lambda r: r ** (self.d - 1) * self.density(r), R, R + span, 64)
+        rule = _Simpson.log_spaced(R, R + span, 64)
+        val = rule.integrate(lambda r: r ** (self.d - 1) * self.density(r))
         return area * val * 1.02 + 1e-25
 
 
@@ -260,18 +261,45 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2) / special.gamma(d / 2)
 
 
-def _log_simpson(f, lo, hi, per_decade):
-    if hi <= lo:
-        return 0.0
-    decades = math.log10(hi / lo)
-    m = max(2, int(math.ceil(decades * per_decade)))
-    m += m % 2
-    t = np.linspace(math.log(lo), math.log(hi), m + 1)
-    r = np.exp(t)
-    w = np.ones(m + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    h = (t[-1] - t[0]) / m
-    return float(np.sum(w * f(r) * r) * h / 3.0)
+class _Simpson:
+    """Composite Simpson rule with an even number n of intervals on [lo, hi].
+
+    Nodes r are equally spaced in t = r, or in t = log r for a log-spaced rule, whose
+    sum multiplies the samples by the Jacobian dr/dt = r.  With hi <= lo there are
+    no nodes and every sum is 0.
+    """
+
+    def __init__(self, r, span: float, log: bool):
+        self.r, self.span, self.log, self.n = r, span, log, len(r) - 1  # span: t_n - t_0
+
+    @classmethod
+    def log_spaced(cls, lo, hi, per_decade):
+        if hi <= lo:
+            return cls(np.empty(0), 0.0, True)
+        m = max(2, int(math.ceil(math.log10(hi / lo) * per_decade)))
+        t = np.linspace(math.log(lo), math.log(hi), m + m % 2 + 1)
+        return cls(np.exp(t), t[-1] - t[0], True)
+
+    @classmethod
+    def linear(cls, lo, hi, step):
+        if hi <= lo:
+            return cls(np.empty(0), 0.0, False)
+        n = int(math.ceil((hi - lo) / step))
+        return cls(np.linspace(lo, hi, n + n % 2 + 1), hi - lo, False)
+
+    def __call__(self, samples) -> float:
+        """The rule applied to samples taken at the nodes."""
+        if self.n < 2:
+            return 0.0
+        # weights 1 4 2 ... 2 4 1, rebuilt per sum (~0.25 ms per 200,000 nodes): kept
+        # with every rule they would add to the peak memory of an evaluation
+        w = np.ones(self.n + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        terms = w * samples * self.r if self.log else w * samples
+        return float(np.sum(terms) * (self.span / self.n) / 3.0)
+
+    def integrate(self, f) -> float:
+        return self(f(self.r))
 
 
 def sphere_nodes(d: int, n: int):
@@ -308,7 +336,11 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class OperatorEvaluator:
-    """Configured evaluator for L^mu[u](x) with reported error bounds."""
+    """Configured evaluator for L^mu[u](x) with reported error bounds.
+
+    What does not depend on x (grids, kernel values at the nodes, float atoms and
+    sequence terms) is built on first use and kept for the evaluator's lifetime.
+    """
 
     measure: LevyMeasure
     r0: float = 1.0
@@ -319,6 +351,7 @@ class OperatorEvaluator:
     truncation: int | None = None
     sphere_count: int = 64
     tolerance: float | None = None  # reject evaluations whose bound exceeds this
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r0 <= 0:
@@ -328,6 +361,12 @@ class OperatorEvaluator:
         ):
             raise ValueError("quadrature for full-dimensional kernels supports d <= 3")
 
+    def memo(self, key, build):
+        """build(), once per evaluator and key; keys are values, never object ids."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
 
 def eval_operator(ev: OperatorEvaluator, u, x) -> EvalResult:
     """L^mu[u](x) with an error bound.
@@ -336,7 +375,6 @@ def eval_operator(ev: OperatorEvaluator, u, x) -> EvalResult:
     exact-capable u (a Counterexample), finite atomic sums cancel exactly.
     """
     mu = ev.measure
-    d = mu.dimension
     exact_mode = (
         isinstance(x, tuple)
         and x
@@ -345,7 +383,9 @@ def eval_operator(ev: OperatorEvaluator, u, x) -> EvalResult:
         and hasattr(u, "value_exact")
     )
     xf = np.array([float(c) for c in x], dtype=float)
-    _bounded_guard(u, mu, xf)
+    if ev._memo.get("guarded") is not u:
+        _bounded_guard(u, mu, xf)
+        ev._memo["guarded"] = u
     parts: dict[str, float] = {}
     total = 0.0
     bound = 0.0
@@ -359,37 +399,25 @@ def eval_operator(ev: OperatorEvaluator, u, x) -> EvalResult:
                 shifted = tuple(a + b for a, b in zip(x, atom.point))
                 s += float(atom.weight) * (u.value_exact(shifted) - ux)
         else:
-            s = 0.0
-            ux = float(_value(u, xf))
-            g = _grad(u, xf)
-            for atom in mu.atoms:
-                av = np.array([float(c) for c in atom.point])
-                term = float(_value(u, xf + av)) - ux
-                if np.linalg.norm(av) < ev.r0:
-                    term -= float(av @ g)
-                s += float(atom.weight) * term
+            terms = ev.memo("atoms", lambda: [
+                _float_term(float(atom.weight), np.array([float(c) for c in atom.point]), ev.r0)
+                for atom in mu.atoms
+            ])
+            s = _float_sum(terms, u, xf)
         parts["atoms"] = s
         total += s
 
     # template sequences: compensated partial sums plus a certified tail bound
     for i, seq in enumerate(mu.sequences):
         N = min(ev.truncation, seq.truncation) if ev.truncation else seq.truncation
-        ux = float(_value(u, xf))
-        g = _grad(u, xf)
-        s = 0.0
-        for n in range(1, N + 1):
-            w = float(seq.weight(n))
-            pv = np.array([float(c) for c in seq.point(n)])
-            for sgn in (1.0, -1.0):
-                av = sgn * pv
-                term = float(_value(u, xf + av)) - ux
-                if np.linalg.norm(av) < ev.r0:
-                    term -= float(av @ g)
-                s += w * term
+        terms, tail_mass = ev.memo(
+            (seq, N), lambda: (_sequence_terms(seq, N, ev.r0), seq.levy_tail_bound(N))
+        )
+        s = _float_sum(terms, u, xf)
         parts[f"sequence_{i}"] = s
         total += s
         cu = _series_constant(u, ev.r0)
-        tail = 2.0 * cu * seq.levy_tail_bound(N)
+        tail = 2.0 * cu * tail_mass
         if math.isinf(tail):
             raise ValueError("cannot bound the series tail for an unbounded test function")
         bound += tail
@@ -397,10 +425,8 @@ def eval_operator(ev: OperatorEvaluator, u, x) -> EvalResult:
     for i, part in enumerate(mu.continuous):
         if isinstance(part, SphereSurfacePart):
             v, b = _eval_sphere(ev, part, u, xf)
-        elif isinstance(part, AffinePart):
-            v, b = _eval_affine(ev, part, u, xf)
         else:
-            v, b = _eval_radial(ev, _RadialKernel(part, d), u, xf, d, np.eye(d))
+            v, b = _eval_radial(ev, ev.memo(part, lambda: _RadialPlan(ev, part)), u, xf)
         parts[f"continuous_{i}"] = v
         total += v
         bound += b
@@ -410,6 +436,33 @@ def eval_operator(ev: OperatorEvaluator, u, x) -> EvalResult:
             f"error bound {bound:.3e} exceeds the requested tolerance {ev.tolerance:.3e}"
         )
     return EvalResult(value=total, bound=bound, parts=parts)
+
+
+def _float_term(weight: float, step, r0: float):
+    """(weight, step, whether the step lies inside the compensation ball |z| < r0)."""
+    return weight, step, np.linalg.norm(step) < r0
+
+
+def _sequence_terms(seq, N: int, r0: float):
+    """Float terms of the points +-seq.point(n), n = 1..N, in summation order."""
+    terms = []
+    for n in range(1, N + 1):
+        w, pv = float(seq.weight(n)), np.array([float(c) for c in seq.point(n)])
+        terms += [_float_term(w, sgn * pv, r0) for sgn in (1.0, -1.0)]
+    return terms
+
+
+def _float_sum(terms, u, x) -> float:
+    """Sum of w * (u(x+a) - u(x) - a.Du(x) 1{|a| < r0}) over the float terms (w, a, |a| < r0)."""
+    ux = float(_value(u, x))
+    g = _grad(u, x)
+    s = 0.0
+    for w, av, near in terms:
+        term = float(_value(u, x + av)) - ux
+        if near:
+            term -= float(av @ g)
+        s += w * term
+    return s
 
 
 def _value(u, x):
@@ -474,7 +527,7 @@ def _eval_sphere(ev, part: SphereSurfacePart, u, x):
     ux = float(_value(u, x))
 
     def at(count):
-        pts, w = sphere_nodes(d, count)
+        pts, w = ev.memo(("sphere_nodes", d, count), lambda: sphere_nodes(d, count))
         vals = np.asarray(_value(u, x[None, :] + part.radius * pts), dtype=float)
         return float(np.sum(w * (vals - ux)) / sphere_area(d))
 
@@ -483,96 +536,94 @@ def _eval_sphere(ev, part: SphereSurfacePart, u, x):
     return v1, abs(v1 - v2) + 1e-14 * (1 + abs(ux))
 
 
-def _eval_affine(ev, part: AffinePart, u, x):
-    d = ev.measure.dimension
-    k = len(part.basis)
-    B = np.array([[float(c) for c in v] for v in part.basis], dtype=float).T
-    Q, _ = np.linalg.qr(B)
-    if part.profile_kind == "fractional":
-        kern = _RadialKernel(FractionalPart(alpha=part.alpha), k)
-    else:
-        kern = _RadialKernel(ConvolutionPart(profile="gaussian", scale=part.scale), k)
-    return _eval_radial(ev, kern, u, x, k, Q)
+class _Zone:
+    """A zone's Simpson rule, the half-resolution rule of its error estimate, and the
+    kernel density at their nodes.  When the half rule's nodes are the fine rule's
+    even nodes, its samples are taken from the fine ones.
+    """
+
+    def __init__(self, kern, fine: _Simpson, half: _Simpson):
+        # linspace(a, b, 2k + 1)[::2] is linspace(a, b, k + 1) bit for bit
+        self.nested = fine.n == 2 * half.n
+        if self.nested:  # the same rule over views of the fine nodes
+            half = _Simpson(fine.r[::2], fine.span, fine.log)
+        self.fine, self.half = fine, half
+        self.density = [kern.density(q.r) for q in ((fine,) if self.nested else (fine, half))]
+
+    def sums(self, integrand, *args):
+        """(fine sum, half-resolution sum) of integrand(radii, density, *args)."""
+        if self.fine.n < 2:
+            return 0.0, 0.0
+        samples = integrand(self.fine.r, self.density[0], *args)
+        coarse = samples[::2] if self.nested else integrand(self.half.r, self.density[1], *args)
+        return self.fine(samples), self.half(coarse)
 
 
-def _eval_radial(ev, kern: _RadialKernel, u, x, kdim: int, frame):
-    """Three-zone radial-spherical quadrature inside the column span of frame."""
-    dirs, w_sph = sphere_nodes(kdim, ev.sphere_count)
-    dirs_full = dirs @ frame.T  # rows: directions embedded in R^d
+class _RadialPlan:
+    """What the quadrature of one radial or affine part needs that does not depend on x."""
+
+    def __init__(self, ev, part):
+        if isinstance(part, AffinePart):
+            kdim = len(part.basis)
+            B = np.array([[float(c) for c in v] for v in part.basis], dtype=float).T
+            frame, _ = np.linalg.qr(B)
+            if part.profile_kind == "fractional":
+                kern = _RadialKernel(FractionalPart(alpha=part.alpha), kdim)
+            else:
+                kern = _RadialKernel(ConvolutionPart(profile="gaussian", scale=part.scale), kdim)
+        else:
+            kdim = ev.measure.dimension
+            frame, kern = np.eye(kdim), _RadialKernel(part, kdim)
+        dirs, self.w_sph = ev.memo(("sphere_nodes", kdim, ev.sphere_count),
+                                   lambda: sphere_nodes(kdim, ev.sphere_count))
+        self.dirs = dirs @ frame.T  # rows: directions in the part's span, embedded in R^d
+        self.kdim = kdim
+        r_s = min(ev.r_switch, ev.r0)
+        self.m2, self.m2_err = kern.moment2_core(r_s)
+        half_per_decade = max(8, ev.nodes_per_decade // 2)
+        self.inner = _Zone(kern, _Simpson.log_spaced(r_s, ev.r0, ev.nodes_per_decade),
+                           _Simpson.log_spaced(r_s, ev.r0, half_per_decade))
+        r_cut = kern.outer_cut(ev.outer_radius)
+        self.outer = _Zone(kern, _Simpson.linear(ev.r0, r_cut, ev.outer_step),
+                           _Simpson.linear(ev.r0, r_cut, ev.outer_step * 2))
+        self.mass_tail = kern.mass_tail(r_cut)
+
+
+def _eval_radial(ev, plan: _RadialPlan, u, x):
+    """Three-zone radial-spherical quadrature inside the span of the plan's directions."""
     ux = float(_value(u, x))
     g = _grad(u, x)
 
     # zone 1: analytic Taylor core on (0, r_switch]
     r_s = min(ev.r_switch, ev.r0)
-    m2, m2_err = kern.moment2_core(r_s)
-    sum_dir2 = float(sum(ws * _dir2(u, x, w) for w, ws in zip(dirs_full, w_sph)))
-    core = 0.5 * sum_dir2 * m2
+    sum_dir2 = float(sum(ws * _dir2(u, x, w) for w, ws in zip(plan.dirs, plan.w_sph)))
+    core = 0.5 * sum_dir2 * plan.m2
     d3 = _sup(u, "sup_d3")
-    core_bound = m2_err * abs(sum_dir2) + (
-        0.0 if d3 == 0 else d3 / 6.0 * r_s * m2 * float(np.sum(w_sph))
+    core_bound = plan.m2_err * abs(sum_dir2) + (
+        0.0 if d3 == 0 else d3 / 6.0 * r_s * plan.m2 * float(np.sum(plan.w_sph))
     )
 
-    def compensated(radii):
-        ker = kern.density(radii)
+    def integrand(radii, ker, compensated):
         acc = np.zeros_like(radii)
-        for wdir, ws in zip(dirs_full, w_sph):
-            pts = x[None, :] + radii[:, None] * wdir[None, :]
+        pts = np.empty((radii.size, x.size))  # x + radii * wdir, one direction at a time
+        for wdir, ws in zip(plan.dirs, plan.w_sph):
+            np.add(x, np.multiply(radii[:, None], wdir, out=pts), out=pts)
             vals = np.asarray(_value(u, pts), dtype=float)
-            acc += ws * (vals - ux - radii * float(wdir @ g))
-        return acc * ker * radii ** (kdim - 1)
+            if compensated:
+                acc += ws * (vals - ux - radii * float(wdir @ g))
+            else:
+                acc += ws * (vals - ux)
+        return acc * ker * radii ** (plan.kdim - 1)
 
-    def raw(radii):
-        ker = kern.density(radii)
-        acc = np.zeros_like(radii)
-        for wdir, ws in zip(dirs_full, w_sph):
-            pts = x[None, :] + radii[:, None] * wdir[None, :]
-            vals = np.asarray(_value(u, pts), dtype=float)
-            acc += ws * (vals - ux)
-        return acc * ker * radii ** (kdim - 1)
-
-    # zone 2: log-Simpson compensated on [r_switch, r0]
-    def inner(per_decade):
-        if ev.r0 <= r_s:
-            return 0.0
-        return _simpson_log_vec(compensated, r_s, ev.r0, per_decade)
-
-    i1 = inner(ev.nodes_per_decade)
-    i2 = inner(max(8, ev.nodes_per_decade // 2))
-
-    # zone 3: linear Simpson on [r0, R_cut]
-    r_cut = kern.outer_cut(ev.outer_radius)
-
-    def outer(step):
-        if r_cut <= ev.r0:
-            return 0.0
-        n = int(math.ceil((r_cut - ev.r0) / step))
-        n += n % 2
-        radii = np.linspace(ev.r0, r_cut, n + 1)
-        wts = np.ones(n + 1)
-        wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
-        h = (r_cut - ev.r0) / n
-        return float(np.sum(wts * raw(radii)) * h / 3.0)
-
-    o1 = outer(ev.outer_step)
-    o2 = outer(ev.outer_step * 2)
+    # zone 2: log-Simpson compensated on [r_switch, r0]; zone 3: linear Simpson on [r0, R_cut]
+    i1, i2 = plan.inner.sums(integrand, True)
+    o1, o2 = plan.outer.sums(integrand, False)
 
     uinf = _sup(u, "sup_u")
-    tail = 2.0 * uinf * kern.mass_tail(r_cut)
+    tail = 2.0 * uinf * plan.mass_tail
     quad_est = abs(i1 - i2) + abs(o1 - o2)
     value = core + i1 + o1
     return value, core_bound + tail + quad_est + 1e-14 * (1 + abs(value))
-
-
-def _simpson_log_vec(f, lo, hi, per_decade):
-    decades = math.log10(hi / lo)
-    m = max(2, int(math.ceil(decades * per_decade)))
-    m += m % 2
-    t = np.linspace(math.log(lo), math.log(hi), m + 1)
-    r = np.exp(t)
-    w = np.ones(m + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    h = (t[-1] - t[0]) / m
-    return float(np.sum(w * f(r) * r) * h / 3.0)
 
 
 # -- propagation of maximum ------------------------------------------------------------

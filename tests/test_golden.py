@@ -1,4 +1,4 @@
-"""Golden reports: `decide` and `decompose` on every bundled spec, `propagate`.
+"""Golden reports: `decide` and `decompose` on every bundled spec, `propagate`, `verify`.
 
 Each file under tests/golden/ holds the exit code, stdout and stderr of one
 `liouville <command> specs/<spec>.yaml --no-timestamp` run.  The closure engine
@@ -10,6 +10,13 @@ window, and at the configurations of the probe-fallback benchmark workload.  The
 sequence specs are left out: with their 2,000 and 200 steps each run takes
 minutes and gigabytes even at the small window.  `probe_products.decide.txt` is
 the report of an input the exact closure cannot decide, with the probe deltas.
+
+The verify files hold `liouville verify --no-timestamp --points 4 --seed 1` with
+`cos` on every bundled spec, `harmonic_xy` on `mean_value`, and three non-default
+quadrature configurations: a node count whose half does not nest in it
+(`--quad-nodes 33`), a split radius off the default (`--r0 0.37`) and a sequence
+truncation (`--truncation-N 77`).  Values and bounds are floats printed in full, so
+these files pin every float operation of the quadrature.
 
 Regenerate after an intended report change with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -54,6 +61,16 @@ PROPAGATE_CASES.update({
 })
 PROBE_INPUT = os.path.join(GOLDEN_DIR, "probe_products.yaml")
 
+VERIFY_ARGS = ["--no-timestamp", "--points", "4", "--seed", "1"]
+# golden name -> (spec, verify arguments after VERIFY_ARGS)
+VERIFY_CASES = {f"{spec}.verify": (spec, []) for spec in SPECS}
+VERIFY_CASES.update({
+    "mean_value.verify-harmonic_xy": ("mean_value", ["--function", "harmonic_xy"]),
+    "fractional.verify-quad-nodes-33": ("fractional", ["--quad-nodes", "33"]),
+    "relativistic.verify-r0-0.37": ("relativistic", ["--r0", "0.37"]),
+    "growing_sequence.verify-truncation-N-77": ("growing_sequence", ["--truncation-N", "77"]),
+})
+
 
 def run(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -73,6 +90,11 @@ def capture(command: str, spec: str) -> str:
 def capture_propagate(name: str) -> str:
     spec, extra = PROPAGATE_CASES[name]
     return run(["propagate", spec_path(spec)] + extra)
+
+
+def capture_verify(name: str) -> str:
+    spec, extra = VERIFY_CASES[name]
+    return run(["verify", spec_path(spec)] + VERIFY_ARGS + extra)
 
 
 def capture_probe_decide() -> str:
@@ -111,6 +133,11 @@ def test_propagate_matches_golden(name):
     assert capture_propagate(name) == read_golden(os.path.join(GOLDEN_DIR, name + ".txt"))
 
 
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_matches_golden(name):
+    assert capture_verify(name) == read_golden(os.path.join(GOLDEN_DIR, name + ".txt"))
+
+
 def test_probe_decide_matches_golden():
     assert capture_probe_decide() == read_golden(golden_path("decide", "probe_products"))
 
@@ -122,4 +149,6 @@ if __name__ == "__main__":
             write_golden(golden_path(command, spec), capture(command, spec))
     for name in PROPAGATE_CASES:
         write_golden(os.path.join(GOLDEN_DIR, name + ".txt"), capture_propagate(name))
+    for name in VERIFY_CASES:
+        write_golden(os.path.join(GOLDEN_DIR, name + ".txt"), capture_verify(name))
     write_golden(golden_path("decide", "probe_products"), capture_probe_decide())

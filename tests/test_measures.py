@@ -1,8 +1,12 @@
+import glob
 import math
+import os
 from fractions import Fraction
 
 import pytest
+import yaml
 
+from liouville import measures
 from liouville.measures import (
     GeometricSequence,
     MeasureSpecError,
@@ -13,7 +17,9 @@ from liouville.measures import (
     serialize_measure,
     support_of,
 )
-from conftest import PI_50, spec_path
+from conftest import PI_50, SPEC_DIR, spec_path
+
+PROBE_INPUT = os.path.join(os.path.dirname(__file__), "golden", "probe_products.yaml")
 
 
 def load(name):
@@ -118,9 +124,25 @@ class TestParsing:
         with pytest.raises(MeasureSpecError):
             parse_measure("dimension: [unclosed")
 
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_malformed_document_message(self, loader, monkeypatch):
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(measures, "_SPEC_LOADER", getattr(yaml, loader))
+        with pytest.raises(MeasureSpecError, match="^malformed document: "):
+            parse_measure("dimension: [unclosed")
+
     def test_sphere_needs_two_dims(self):
         with pytest.raises(MeasureSpecError):
             parse_measure("dimension: 1\ncontinuous:\n  - {kind: surface_sphere}\n")
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SPEC_DIR, "*.yaml"))) + [PROBE_INPUT])
+def test_libyaml_and_python_loaders_give_equal_documents(path):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 class TestRoundTrip:

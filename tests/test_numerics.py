@@ -374,3 +374,97 @@ class TestMultiDimensionalQuadrature:
         mu = parse_measure("dimension: 4\ncontinuous:\n  - {kind: fractional, alpha: 1.0}\n")
         with pytest.raises(ValueError, match="d <= 3"):
             OperatorEvaluator(measure=mu)
+
+
+def _bits(res):
+    return res.value.hex(), res.bound.hex(), {k: v.hex() for k, v in res.parts.items()}
+
+
+class TestReusePerEvaluator:
+    """An evaluator builds what does not depend on x once; values stay bit for bit."""
+
+    MIXED_1D = (
+        'dimension: 1\natoms:\n  - {point: ["3/2"], weight: "1/2"}\n'
+        "sequences:\n  - template: poly_ratio\n"
+        '    numerator: ["1"]\n    denominator: ["0", "1"]\n'
+        '    weights: {kind: power, c: "1", s: 2}\n    truncation: 30\n    accumulation: "0"\n'
+        "continuous:\n  - {kind: fractional, alpha: 0.5}\n"
+        "  - {kind: relativistic, alpha: 1.5, m: 2.0}\n"
+        "  - {kind: convolution, profile: exponential, scale: 0.5}\n"
+    )
+    MIXED_2D = (
+        "dimension: 2\ncontinuous:\n  - {kind: surface_sphere, radius: 0.5}\n"
+        "  - {kind: convolution, profile: gaussian, scale: 0.3}\n"
+        '  - {kind: affine_supported, basis: [["1", "2"]], profile: {kind: fractional, alpha: 1.5}}\n'
+        '  - {kind: affine_supported, basis: [["1", "-1"]], profile: {kind: gaussian, scale: 2.0}}\n'
+    )
+
+    def test_half_grid_is_every_other_fine_node(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            a = float(rng.uniform(-30.0, 10.0))
+            b = a + float(rng.uniform(1e-3, 1e4))
+            n = 2 * int(rng.integers(1, 20_000))
+            assert np.linspace(a, b, n + 1)[::2].tobytes() == np.linspace(a, b, n // 2 + 1).tobytes()
+
+    @pytest.mark.parametrize("lo, hi, log, fine, half", [
+        (1e-4, 1.0, True, 64, 32),  # the default inner zone
+        (1e-4, 2.3, True, 64, 32),
+        (1.0, 1e4, False, 0.05, 0.1),  # the default outer zone of a fractional kernel
+        (1.0, 60.0, False, 0.05, 0.1),
+    ])
+    def test_nested_half_sum_equals_a_separate_evaluation(self, lo, hi, log, fine, half):
+        kern = numerics._RadialKernel(numerics.FractionalPart(alpha=0.5), 1)
+        rule = numerics._Simpson.log_spaced if log else numerics._Simpson.linear
+        zone = numerics._Zone(kern, rule(lo, hi, fine), rule(lo, hi, half))
+        assert zone.nested
+
+        def integrand(r, ker):
+            return (np.cos(0.3 + r) - np.cos(0.3)) * ker
+
+        coarse = rule(lo, hi, half)
+        separate = coarse(integrand(coarse.r, kern.density(coarse.r)))
+        assert zone.sums(integrand)[1].hex() == separate.hex()
+
+    def test_counts_that_do_not_nest_are_evaluated_separately(self):
+        kern = numerics._RadialKernel(numerics.FractionalPart(alpha=0.5), 1)
+        zone = numerics._Zone(kern, numerics._Simpson.log_spaced(1e-4, 1.0, 33),
+                              numerics._Simpson.log_spaced(1e-4, 1.0, 16))
+        assert not zone.nested
+
+    @pytest.mark.parametrize("spec, dim", [("MIXED_1D", 1), ("MIXED_2D", 2)])
+    @pytest.mark.parametrize("config", [{}, {"nodes_per_decade": 33, "r0": 0.37}])
+    def test_one_evaluator_matches_a_fresh_one_per_point(self, spec, dim, config):
+        mu = parse_measure(getattr(self, spec))
+        u = builtin_function("cos", dim)
+        xs = [tuple(p) for p in np.random.default_rng(3).uniform(-2, 2, size=(3, dim))]
+        fresh = [_bits(eval_operator(OperatorEvaluator(measure=mu, **config), u, x)) for x in xs]
+        ev = OperatorEvaluator(measure=mu, **config)
+        assert [_bits(eval_operator(ev, u, x)) for x in xs] == fresh
+        ev = OperatorEvaluator(measure=mu, **config)
+        assert [_bits(eval_operator(ev, u, x)) for x in reversed(xs)] == fresh[::-1]
+        built = dict(ev._memo)
+        eval_operator(ev, u, (0.5,) * dim)
+        assert ev._memo.keys() == built.keys()  # nothing is built per point
+
+    def test_affine_parts_of_different_alpha_do_not_share_quadrature(self):
+        def affine(alpha):
+            return f'  - {{kind: affine_supported, basis: [["1", "0"]], profile: {{kind: fractional, alpha: {alpha}}}}}\n'
+
+        both = parse_measure("dimension: 2\ncontinuous:\n" + affine(0.5) + affine(1.5))
+        alone = [parse_measure("dimension: 2\ncontinuous:\n" + affine(a)) for a in (0.5, 1.5)]
+        u = builtin_function("cos", 2)
+        ev = OperatorEvaluator(measure=both)
+        for x in ((0.3, -1.0), (1.7, 0.2)):
+            res = eval_operator(ev, u, x)
+            for i, mu in enumerate(alone):
+                single = eval_operator(OperatorEvaluator(measure=mu), u, x)
+                assert res.parts[f"continuous_{i}"].hex() == single.parts["continuous_0"].hex()
+            assert res.parts["continuous_0"] != res.parts["continuous_1"]
+
+    def test_unbounded_function_is_rejected_at_every_point(self):
+        ev = OperatorEvaluator(measure=load("fractional.yaml"))
+        u = builtin_function("harmonic_xy", 2)
+        for x in ((0.0,), (1.0,)):
+            with pytest.raises(ValueError, match="not declared bounded"):
+                eval_operator(ev, u, x)
