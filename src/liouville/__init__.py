@@ -20,7 +20,6 @@ from .closure import (
     closure_multid,
     decompose_measure,
     hyperplane_certificate,
-    kronecker_check,
     lattice_hnf,
     orthogonalize,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "closure_1d",
     "closure_multid",
     "lattice_hnf",
-    "kronecker_check",
     "orthogonalize",
     "decompose_measure",
     "hyperplane_certificate",

@@ -221,24 +221,6 @@ def lattice_hnf(generators) -> tuple[Point, ...]:
     return tuple(point_from_fractions(basis, col) for col in cols)
 
 
-def kronecker_check(c: Point):
-    """Density test for Z^d + cZ: rank of {1, c_1, ..., c_d} over Q.
-
-    Returns ("dense", None) or ("not_dense", dependency) where dependency is
-    a nonzero rational vector (l_0, l_1, ..., l_d) with
-    l_0*1 + sum_i l_i*c_i = 0.
-    """
-    d = len(c)
-    m = c[0].basis.size
-    rows = [[Fraction(1)] + [Fraction(0)] * m]
-    for ci in c:
-        rows.append(list(ci.coords))
-    if rl.rank(rows) == d + 1:
-        return ("dense", None)
-    dep = rl.left_dependency(rows)
-    return ("not_dense", tuple(dep))
-
-
 # -- multi-d closure ---------------------------------------------------------------
 
 
@@ -788,15 +770,6 @@ def _coset_coordinates(p: Point, group: ClosedSubgroup):
     if any(c.denominator != 1 for c in m):
         return None
     return [int(c) for c in m]
-
-
-def _membership_in_span(p: Point, v_basis, basis) -> bool:
-    if not v_basis:
-        return point_is_zero(p)
-    rows = [[c.coords[0] for c in v] for v in v_basis]
-    parts = rational_parts(p)
-    mat = [[rows[j][i] for j in range(len(rows))] for i in range(len(p))]
-    return all(rl.solve(mat, part) is not None for part in parts)
 
 
 def _lattice_keys_in_ball(group: ClosedSubgroup, radius: float):

@@ -15,7 +15,7 @@ from typing import Any
 from .closure import (
     ClosedSubgroup,
     HyperplaneCertificate,
-    closure_1d,
+    Route,
     closure_multid,
     hyperplane_certificate,
     orthogonalize,
@@ -53,15 +53,6 @@ def _assumptions(mu: LevyMeasure) -> tuple[str, ...]:
     )
 
 
-def sequence_certifications(mu: LevyMeasure):
-    """Symbolic verdict per sequence: accumulation, unbounded q, or lattice."""
-    out = []
-    for seq in mu.sequences:
-        kind, payload = seq.q_certification()
-        out.append((seq, kind, payload))
-    return out
-
-
 def _unbounded_witness(seq) -> dict:
     """Sample (n, q_n) pairs plus the symbolic growth certificate."""
     a1 = seq.scalar(1)
@@ -76,75 +67,26 @@ def _unbounded_witness(seq) -> dict:
 
 
 def decide_1d(mu: LevyMeasure) -> LiouvilleVerdict:
-    """The practical 1-d procedure: accumulation/interval, then ratios."""
+    """`decide` restricted to 1-d measures."""
     if mu.dimension != 1:
         raise ValueError("decide_1d requires a 1-d measure")
-    desc = support_of(mu)
-    assumptions = _assumptions(mu)
-
-    if desc.contains_interval_or_ball:
-        cl = closure_1d(desc)
-        return LiouvilleVerdict(
-            True, True, "interval_or_ball", 1, closure=cl, assumptions=assumptions
-        )
-    if desc.has_accumulation_point:
-        cl = closure_1d(desc)
-        return LiouvilleVerdict(
-            True,
-            True,
-            "accumulation",
-            1,
-            closure=cl,
-            witness={"accumulation_points": desc.accumulation_points},
-            assumptions=assumptions,
-        )
-
-    extra_points = []
-    for seq, kind, payload in sequence_certifications(mu):
-        if kind == "unbounded":
-            cl = closure_1d(desc.with_extra(directions=(seq.direction,)))
-            return LiouvilleVerdict(
-                True,
-                True,
-                "unbounded_q_sequence",
-                1,
-                closure=cl,
-                witness=_unbounded_witness(seq),
-                assumptions=assumptions,
-            )
-        if kind == "lattice":
-            extra_points.append(tuple(c.scale(payload) for c in seq.direction))
-
-    enriched = desc.with_extra(points=extra_points)
-    cl = closure_1d(enriched)
-    if cl.is_full():
-        return LiouvilleVerdict(
-            True,
-            True,
-            "irrational_pair",
-            1,
-            closure=cl,
-            witness={"pair": cl.witness},
-            assumptions=assumptions,
-        )
-    return _failure_verdict(mu, cl, enriched, assumptions)
+    return decide(mu)
 
 
 def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
     """Any dimension: dense closure iff the Liouville property holds."""
-    if mu.dimension == 1:
-        return decide_1d(mu)
     desc = support_of(mu)
     assumptions = _assumptions(mu)
 
     extra_points = []
-    extra_dirs = []
-    for seq, kind, payload in sequence_certifications(mu):
+    unbounded = []
+    for seq in mu.sequences:
+        kind, payload = seq.q_certification()
         if kind == "unbounded":
-            extra_dirs.append(seq.direction)
+            unbounded.append(seq)
         elif kind == "lattice":
             extra_points.append(tuple(c.scale(payload) for c in seq.direction))
-    enriched = desc.with_extra(points=extra_points, directions=extra_dirs)
+    enriched = desc.with_extra(points=extra_points, directions=[s.direction for s in unbounded])
 
     cl = closure_multid(enriched, probe_config=probe_config)
     if not cl.is_certified():
@@ -163,8 +105,17 @@ def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
             assumptions=assumptions,
         )
     if cl.is_full():
+        route, witness = cl.route.value, cl.witness
+        if mu.dimension == 1:
+            # a dense line: name the 1-d density argument and its witness
+            if cl.route is Route.IRRATIONAL_PAIR:
+                witness = {"pair": cl.witness}
+            elif cl.route is Route.ACCUMULATION and desc.has_accumulation_point:
+                witness = {"accumulation_points": desc.accumulation_points}
+            elif cl.route is Route.ACCUMULATION:
+                route, witness = "unbounded_q_sequence", _unbounded_witness(unbounded[0])
         return LiouvilleVerdict(
-            True, True, cl.route.value, mu.dimension, closure=cl, witness=cl.witness,
+            True, True, route, mu.dimension, closure=cl, witness=witness,
             assumptions=assumptions,
         )
     return _failure_verdict(mu, cl, enriched, assumptions)

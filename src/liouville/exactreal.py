@@ -43,7 +43,6 @@ class ConstantBasis:
 
     names: tuple[str, ...] = ()
     approximations: tuple[str, ...] = ()
-    independence_asserted: bool = True
 
     def __post_init__(self):
         if len(self.names) != len(self.approximations):
@@ -116,9 +115,6 @@ def _basis_values(basis: "ConstantBasis"):
 def basis_floats(basis: "ConstantBasis"):
     """float64 values of (1, c1, ..., cm), for numeric hot paths."""
     return tuple(float(v) for v in _basis_values(basis))
-
-
-RATIONAL_BASIS = ConstantBasis()
 
 
 @dataclass(frozen=True)
@@ -201,6 +197,8 @@ class ExtendedRational:
             )
 
     def __float__(self):
+        if self.is_rational():
+            return float(self.coords[0])
         return float(self.mpf())
 
     def sign(self) -> int:

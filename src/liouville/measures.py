@@ -88,15 +88,6 @@ def _poly_divmod(a, b):
     return _poly_trim(q), r
 
 
-def _poly_gcd(a, b):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        a = [c / a[-1] for c in a]  # monic
-    return a
-
-
 def _poly_ext_gcd(a, b):
     """(g, u, v) with u*a + v*b = g over Q[x]; g monic gcd."""
     r0, r1 = _poly_trim(a), _poly_trim(b)
@@ -308,7 +299,7 @@ class PolyRatioSequence:
         # a_n / a_1 = A(n)/B(n) with integer-coefficient A, B
         A = [c * _poly_eval(den, 1) for c in num]
         B = [c * _poly_eval(num, 1) for c in den]
-        g = _poly_gcd(A, B)
+        g = _poly_ext_gcd(A, B)[0]
         A = _poly_divmod(A, g)[0]
         B = _poly_divmod(B, g)[0]
         A, B = _poly_clear_int([A, B])
@@ -319,15 +310,8 @@ class PolyRatioSequence:
             return ("unbounded", {"denominator_poly": tuple(B), "cofactor_bound": L})
         b0 = abs(B[0])
         degA = _poly_deg(A)
-        gamma = math.gcd(*(abs(_poly_eval_int(A, n)) for n in range(1, degA + 2)))
+        gamma = math.gcd(*(abs(int(_poly_eval(A, n))) for n in range(1, degA + 2)))
         return ("lattice", abs(a1) * Fraction(gamma, b0))
-
-
-def _poly_eval_int(c, n) -> int:
-    acc = 0
-    for coef in reversed(c):
-        acc = acc * n + coef
-    return acc
 
 
 @dataclass(frozen=True)
@@ -369,10 +353,7 @@ class GeometricSequence:
             raise MeasureSpecError("geometric sequences accumulate at 0; declare it")
 
     def levy_mass_bound(self) -> float:
-        dirn = math.sqrt(sum(float(x) ** 2 for x in self.direction))
-        r2 = float(self.ratio) ** 2
-        wmax = float(self.weights.weight(1))
-        return (float(self.c) * dirn) ** 2 * wmax * r2 / (1 - r2)
+        return self.levy_tail_bound(0)
 
     def levy_tail_bound(self, n0: int) -> float:
         dirn = math.sqrt(sum(float(x) ** 2 for x in self.direction))

@@ -58,26 +58,6 @@ class SmoothFunction:
             raise TypeError(f"{self.name} has no exact evaluation path")
         return self.exact_fn(x)
 
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(x), dtype=float)
-        h = 1e-6
-        g = np.zeros_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = h
-            g[i] = (self.value(x + e) - self.value(x - e)) / (2 * h)
-        return g
-
-    def dir2(self, x, w):
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if self.dir2_fn is not None:
-            return float(self.dir2_fn(x, w))
-        h = 1e-5
-        return float((self.value(x + h * w) - 2 * self.value(x) + self.value(x - h * w)) / h**2)
-
 
 def builtin_function(name: str, dimension: int) -> SmoothFunction:
     """Named test functions; all operate on arrays whose last axis indexes coordinates."""
@@ -470,8 +450,9 @@ def _value(u, x):
 
 
 def _grad(u, x):
-    if hasattr(u, "grad"):
-        return np.asarray(u.grad(x), dtype=float)
+    grad_fn = getattr(u, "grad_fn", None)
+    if grad_fn is not None:
+        return np.asarray(grad_fn(x), dtype=float)
     h = 1e-6
     g = np.zeros_like(x)
     for i in range(x.size):
@@ -482,8 +463,9 @@ def _grad(u, x):
 
 
 def _dir2(u, x, w):
-    if hasattr(u, "dir2"):
-        return float(u.dir2(x, w))
+    dir2_fn = getattr(u, "dir2_fn", None)
+    if dir2_fn is not None:
+        return float(dir2_fn(x, w))
     h = 1e-5
     return float((_value(u, x + h * w) - 2 * _value(u, x) + _value(u, x - h * w)) / h**2)
 

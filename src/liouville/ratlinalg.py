@@ -107,18 +107,19 @@ def clear_denominators(vecs):
 # -- integer lattices -----------------------------------------------------------
 
 
-def hnf_columns(cols):
+def hnf_columns(cols, top_rows=None):
     """Column-style Hermite normal form of the lattice spanned by int columns.
 
     Returns a basis: echelon columns with positive pivots (one per pivot row,
     top to bottom) and earlier columns reduced modulo each pivot in its row.
+    With top_rows, only the first top_rows rows are eliminated and every column
+    is returned, pivot columns first; the others vanish on those rows.
     """
     cols = [list(c) for c in cols if any(c)]
     if not cols:
         return []
-    d = len(cols[0])
     start = 0
-    for row in range(d):
+    for row in range(len(cols[0]) if top_rows is None else top_rows):
         while True:
             active = [j for j in range(start, len(cols)) if cols[j][row] != 0]
             if len(active) <= 1:
@@ -142,7 +143,7 @@ def hnf_columns(cols):
             if q:
                 cols[jf] = [a - q * b for a, b in zip(cols[jf], cols[start])]
         start += 1
-    return [tuple(c) for c in cols[:start] if any(c)]
+    return [tuple(c) for c in cols if any(c)]
 
 
 def hnf_lattice(generators):
@@ -164,38 +165,8 @@ def integer_kernel(int_rows):
     # column-HNF on A stacked over I_k; columns whose A-part vanished give the kernel
     cols = [[int_rows[r][j] for r in range(len(int_rows))] + [int(i == j) for i in range(k)]
             for j in range(k)]
-    reduced = _hnf_columns_full(cols, len(int_rows))
-    out = []
-    for col in reduced:
-        if all(c == 0 for c in col[: len(int_rows)]):
-            v = tuple(col[len(int_rows):])
-            if any(v):
-                out.append(v)
-    return out
-
-
-def _hnf_columns_full(cols, top_rows):
-    """Column elimination on the top block only, keeping all columns."""
-    cols = [list(c) for c in cols]
-    start = 0
-    for row in range(top_rows):
-        while True:
-            active = [j for j in range(start, len(cols)) if cols[j][row] != 0]
-            if len(active) <= 1:
-                break
-            active.sort(key=lambda j: abs(cols[j][row]))
-            jm = active[0]
-            for j in active[1:]:
-                q = cols[j][row] // cols[jm][row]
-                if q:
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[jm])]
-        active = [j for j in range(start, len(cols)) if cols[j][row] != 0]
-        if not active:
-            continue
-        j = active[0]
-        cols[start], cols[j] = cols[j], cols[start]
-        start += 1
-    return [tuple(c) for c in cols]
+    top = len(int_rows)
+    return [col[top:] for col in hnf_columns(cols, top) if not any(col[:top])]
 
 
 def congruence_lattice(fracs):

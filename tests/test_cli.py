@@ -280,7 +280,7 @@ print(json.dumps(liouville.__all__))
             "q_of", "rational_gcd", "rational_ratio", "LevyMeasure", "parse_measure",
             "serialize_measure", "support_of", "lebesgue_split", "ClosedSubgroup",
             "HyperplaneCertificate", "closure_1d", "closure_multid", "lattice_hnf",
-            "kronecker_check", "orthogonalize", "decompose_measure", "hyperplane_certificate",
+            "orthogonalize", "decompose_measure", "hyperplane_certificate",
             "LiouvilleVerdict", "decide", "decide_1d", "Counterexample", "build_counterexample",
             "check_periodicity", "OperatorEvaluator", "PropagationState", "propagate",
             "density_probe",

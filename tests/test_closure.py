@@ -12,7 +12,6 @@ from liouville.closure import (
     decompose_measure,
     er_dot,
     hyperplane_certificate,
-    kronecker_check,
     lattice_hnf,
     orthogonalize,
     point_from_fractions,
@@ -109,25 +108,45 @@ class TestLatticeHnf:
             lattice_hnf([(er(pi_basis, 0, 1),)])
 
 
+def kronecker_closure(c):
+    """Exact closure of Z^d + cZ: the group the support {e_1, ..., e_d, c} generates."""
+    basis, d = c[0].basis, len(c)
+    pts = [point_from_fractions(basis, [int(i == j) for i in range(d)]) for j in range(d)] + [c]
+    pts += [tuple(-x for x in p) for p in pts]
+    cl = closure_multid(SupportDescriptor(dimension=d, finite_points=tuple(pts)))
+    assert cl.is_certified()
+    return cl
+
+
+def assert_dependency(c, basis):
+    """Z^2 + cZ is not dense: its closure's dependency xi = k(1, -1) has <xi, c> in Z."""
+    cl = kronecker_closure(c)
+    assert not cl.is_full()
+    xi = cl.witness["dependency"]
+    assert xi[0] == -xi[1] != 0
+    pairing = sum((ci.scale(x) for ci, x in zip(c, xi)), basis.zero())
+    assert pairing.is_rational() and pairing.as_rational().denominator == 1
+
+
 class TestKronecker:
     def test_sqrt2_sqrt3_dense(self, sqrt23_basis):
-        c = (er(sqrt23_basis, 0, 1, 0), er(sqrt23_basis, 0, 0, 1))
-        verdict, dep = kronecker_check(c)
-        assert verdict == "dense" and dep is None
+        cl = kronecker_closure((er(sqrt23_basis, 0, 1, 0), er(sqrt23_basis, 0, 0, 1)))
+        assert cl.is_full()
 
     def test_rational_point_dependent(self, plain_basis):
-        c = (er(plain_basis, Fraction(1, 2)), er(plain_basis, Fraction(1, 3)))
-        verdict, dep = kronecker_check(c)
-        assert verdict == "not_dense"
-        assert any(x != 0 for x in dep)
+        # c rational: the group is the lattice (1/2)Z x (1/3)Z, so no annihilator is needed
+        cl = kronecker_closure((er(plain_basis, Fraction(1, 2)), er(plain_basis, Fraction(1, 3))))
+        assert not cl.is_full() and cl.v_dim == 0
+        assert [[c.as_rational() for c in v] for v in cl.lambda_basis] == [
+            [Fraction(1, 2), 0], [0, Fraction(1, 3)]
+        ]
 
     def test_equal_coordinates_dependency(self, sqrt2_basis):
-        c = (er(sqrt2_basis, 0, 1), er(sqrt2_basis, 0, 1))
-        verdict, dep = kronecker_check(c)
-        assert verdict == "not_dense"
-        # dependency annihilates the rows (1,0), c1, c2 by hand: c1 - c2 = 0
-        l0, l1, l2 = dep
-        assert l0 == 0 and l1 == -l2 and l1 != 0
+        assert_dependency((er(sqrt2_basis, 0, 1), er(sqrt2_basis, 0, 1)), sqrt2_basis)
+
+    def test_shifted_coordinates_dependency(self, sqrt2_basis):
+        # c = (1/2 + sqrt2, sqrt2): the dependency pairs with c to a nonzero integer
+        assert_dependency((er(sqrt2_basis, Fraction(1, 2), 1), er(sqrt2_basis, 0, 1)), sqrt2_basis)
 
 
 class TestClosureMultid:

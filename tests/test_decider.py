@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from liouville.decider import decide, decide_1d
-from liouville.exactreal import ConstantBasis, ExtendedRational, q_of
+from liouville.exactreal import ConstantBasis, ExtendedRational, format_point, q_of
 from liouville.measures import Atom, LevyMeasure, parse_measure, validate_measure
-from conftest import PI_50, spec_path
+from conftest import PI_50, SQRT2_50, spec_path
 
 
 def load(name):
@@ -97,6 +97,60 @@ class TestRoutes1d:
         v = decide_1d(parse_measure(text))
         assert v.holds is False
         assert v.closure.lambda_basis[0][0].as_rational() == Fraction(1, 2)
+
+
+def _sequence(numerator, denominator, truncation, extra=""):
+    return (
+        "  - template: poly_ratio\n"
+        f"    numerator: {numerator}\n"
+        f"    denominator: {denominator}\n"
+        '    weights: {kind: power, c: "1", s: 3}\n'
+        f"    truncation: {truncation}\n" + extra
+    )
+
+
+# a_n = (n^2+1)/n: reduced denominators grow without bound
+UNBOUNDED = _sequence('["1", "0", "1"]', '["0", "1"]', 50)
+SQRT2_ATOMS = (
+    f'constants:\n  - {{name: sqrt2, value: "{SQRT2_50}"}}\n'
+    'atoms:\n  - {point: ["1"], weight: "1"}\n  - {point: ["1*sqrt2"], weight: "1"}\n'
+)
+
+
+class TestPrecedence1d:
+    """Which density argument a 1-d verdict names when several apply."""
+
+    def test_accumulation_before_unbounded_sequence(self):
+        acc = _sequence('["1"]', '["0", "1"]', 50, '    accumulation: "0"\n')
+        v = decide(parse_measure("dimension: 1\nsequences:\n" + UNBOUNDED + acc))
+        assert (v.route, v.verdict_word) == ("accumulation", "holds")
+        assert set(v.witness) == {"accumulation_points"}
+
+    def test_interval_before_unbounded_sequence(self):
+        v = decide(parse_measure(
+            "dimension: 1\ncontinuous:\n  - {kind: fractional, alpha: 1.0}\n"
+            "sequences:\n" + UNBOUNDED
+        ))
+        assert (v.route, v.verdict_word, v.witness) == ("interval_or_ball", "holds", None)
+
+    def test_unbounded_sequence_before_irrational_pair(self):
+        v = decide(parse_measure("dimension: 1\n" + SQRT2_ATOMS + "sequences:\n" + UNBOUNDED))
+        assert (v.route, v.verdict_word) == ("unbounded_q_sequence", "holds")
+        assert set(v.witness) == {"samples", "denominator_poly", "cofactor_bound"}
+        assert v.witness["samples"][:4] == [(1, 1), (2, 4), (3, 3), (5, 5)]
+
+    def test_lattice_sequence_with_rational_atoms_fails(self):
+        # atoms 3 and 9/2, a_n = 2n: the group is (1/2)Z
+        v = decide(parse_measure(
+            "dimension: 1\natoms:\n"
+            '  - {point: ["3"], weight: "1"}\n  - {point: ["9/2"], weight: "1"}\n'
+            "sequences:\n" + _sequence('["0", "2"]', '["1"]', 30)
+        ))
+        assert (v.route, v.verdict_word, v.witness) == ("lattice", "fails", None)
+        cert = v.certificate
+        assert format_point(cert.normal) == "(1)" and format_point(cert.c) == "(1/2)"
+        assert cert.h_basis == () and cert.exact
+        assert v.counterexample.closed_form == "cos(2*pi*x/(1/2))"
 
 
 class TestBruteForceEquivalence:
