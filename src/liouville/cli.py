@@ -20,7 +20,7 @@ from . import __version__
 from .closure import closure_multid, decompose_measure
 from .decider import decide
 from .exactreal import format_coordinate, format_point
-from .measures import MeasureSpecError, parse_measure, support_of
+from .measures import MeasureSpecError, group_support, parse_measure, support_of
 
 log = logging.getLogger("liouville")
 
@@ -29,6 +29,7 @@ EXIT_FAILS = 10
 EXIT_UNCERTIFIED = 20
 EXIT_INPUT_ERROR = 2
 EXIT_BROKEN_PIPE = 1
+_UNCERTIFIED = "verdict uncertified: only the numerical probe ran, so no answer is certified"
 
 
 def _fmt(v) -> str:
@@ -193,8 +194,7 @@ def cmd_decide(args) -> int:
 
 def cmd_closure(args) -> int:
     text, mu = _load(args.spec, args)
-    desc = support_of(mu)
-    group = closure_multid(desc)
+    group = closure_multid(group_support(mu))
     r = _header(text)
     r.add("dimension", group.dimension)
     r.add("provenance", group.provenance)
@@ -215,7 +215,8 @@ def cmd_decompose(args) -> int:
     text, mu = _load(args.spec, args)
     verdict = decide(mu)
     if verdict.holds or not verdict.certified:
-        print("measure has a dense support group; nothing to decompose", file=sys.stderr)
+        why = "measure has a dense support group" if verdict.certified else _UNCERTIFIED
+        print(f"{why}; nothing to decompose", file=sys.stderr)
         return EXIT_INPUT_ERROR
     dec = decompose_measure(mu, verdict.closure)
     r = _header(text)
@@ -242,7 +243,8 @@ def cmd_counterexample(args) -> int:
     text, mu = _load(args.spec, args)
     verdict = decide(mu)
     if verdict.holds or not verdict.certified:
-        print("Liouville holds (or undecided); no counterexample exists", file=sys.stderr)
+        why = "Liouville holds; no counterexample exists" if verdict.certified else _UNCERTIFIED
+        print(why, file=sys.stderr)
         return EXIT_INPUT_ERROR
     ce = verdict.counterexample
     r = _header(text)

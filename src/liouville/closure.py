@@ -156,12 +156,8 @@ def scalar_direction_split(p: Point):
         if r is None:
             return None
         ratios.append(r)
-    denom = math.lcm(*(r.denominator for r in ratios))
-    ints = [r * denom for r in ratios]
-    g = math.gcd(*(abs(int(c)) for c in ints if c != 0))
-    prim = [Fraction(c, g) for c in ints]
-    scale = pivot.scale(Fraction(g, denom))
-    return scale, prim
+    prim = _primitive(ratios)  # its first nonzero entry is the pivot's
+    return pivot.scale(1 / next(x for x in prim if x != 0)), prim
 
 
 # -- 1-d closure ---------------------------------------------------------------------
@@ -199,8 +195,8 @@ def _descriptor_basis(support: SupportDescriptor) -> ConstantBasis:
         return p[0].basis
     for d in support.dense_directions:
         return d[0].basis
-    for bas, off in support.affine_pieces:
-        return off[0].basis
+    for piece in support.affine_pieces:
+        return piece[0][0].basis
     return ConstantBasis()
 
 
@@ -235,12 +231,7 @@ def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgr
         return ClosedSubgroup(d, basis, full_v, (), True, "exact", Route.INTERVAL_OR_BALL)
 
     # V from affine pieces and dense directions, rationalized so reductions stay exact
-    v_dirs: list[Point] = []
-    for piece_basis, offset in support.affine_pieces:
-        v_dirs.extend(piece_basis)
-        if not point_is_zero(offset):
-            raise ClosureError("affine pieces with nonzero offsets are not supported")
-    v_dirs.extend(support.dense_directions)
+    v_dirs = [v for piece in support.affine_pieces for v in piece] + list(support.dense_directions)
     splits = [scalar_direction_split(v) for v in v_dirs]
     if None in splits:
         return _probe_closure(basis, support, probe_config)
@@ -252,7 +243,7 @@ def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgr
     if v_span:
         # decide the points modulo V, in coordinates along a rational complement
         comp = _rational_complement(v_span, d)
-        reduced = _reduce_mod_subspace(points, v_span, comp, basis)
+        reduced = [y[len(v_span):] for y in _frame_coordinates(points, v_span + comp, basis)]
         points = [p for p in reduced if not point_is_zero(p)]
     inner = _points_closure(basis, d - len(v_span), points)
     if inner is None:
@@ -339,10 +330,9 @@ def _rational_blocks(points, d):
 def _line_closure(basis, points, direction):
     """Closure of points on the rational line through direction, by `closure_1d`."""
     w = _primitive(direction)
-    i0 = next(i for i, x in enumerate(w) if x != 0)
-    if w[i0] < 0:
+    if next(x for x in w if x != 0) < 0:
         w = [-x for x in w]
-    scalars = [ExtendedRational(basis, tuple(s[i0] / w[i0] for s in rational_parts(p))) for p in points]
+    scalars = [t for (t,) in _frame_coordinates(points, [w], basis)]
     sub = SupportDescriptor(dimension=1, finite_points=tuple((t,) for t in scalars + [-t for t in scalars]))
     cl = closure_1d(sub)
     if cl.is_full():
@@ -375,22 +365,19 @@ def _annihilator_closure(basis, points, k):
     B = rl.hnf_lattice(frame)
     if all(on_frame):
         return [], [_slice_point(basis, a, b) for b in B], Route.LATTICE, None
-    Bmat = [list(row) for row in zip(*B)]
-    coords = [[rl.solve(Bmat, s) for s in sl] for sl, on in zip(parts, on_frame) if not on]
+    c = tuple(_frame_coordinates([p for p, on in zip(points, on_frame) if not on], B, basis))
     rows = []
-    for e, ys in enumerate(coords):
-        for j, y in enumerate(ys):
-            n_coeffs = [0] * len(coords)
+    for e, ys in enumerate(c):
+        for j in range(basis.size + 1):
+            y = [x.coords[j] for x in ys]
+            n_coeffs = [0] * len(c)
             if j == a:
                 n_coeffs[e] = -1
             elif not any(y):
                 continue
-            rows.append(list(y) + n_coeffs)
+            rows.append(y + n_coeffs)
     ints, _ = rl.clear_denominators(rows)
     annihilator = rl.hnf_lattice([m[:k] for m in rl.integer_kernel(ints)])
-    c = tuple(
-        tuple(ExtendedRational(basis, tuple(y[i] for y in ys)) for i in range(k)) for ys in coords
-    )
     if not annihilator:
         return [point_from_fractions(basis, b) for b in B], [], Route.KRONECKER, {"c": c}
     s = len(annihilator)
@@ -426,23 +413,31 @@ def _rational_complement(v_span, d):
     return comp
 
 
-def _reduce_mod_subspace(points, v_span, comp, basis):
-    """Coordinates of each point along the complement, solving p = V a + W b exactly.
+def _column_coordinates(cols, vecs):
+    """Coordinates of each rational vector along independent rational columns.
 
-    [V W] is square and nonsingular, so one elimination of [V W | every constant
-    slice of every point] solves all the systems together.
+    One rref of [cols | vecs].  Row operations keep every linear relation among
+    the columns, so a vector in the span of cols reads its coordinates off the
+    first len(cols) rows and vanishes below them; a vector outside gets None.
     """
-    cols = [list(v) for v in v_span] + [list(w) for w in comp]
-    slices = [part for p in points for part in rational_parts(p)]
-    d, m = len(cols), basis.size + 1
-    red, _ = rl.rref([[c[i] for c in cols] + [s[i] for s in slices] for i in range(d)])
+    n = len(cols)
+    red, _ = rl.rref([list(row) for row in zip(*cols, *vecs)])
     return [
-        tuple(
-            ExtendedRational(basis, tuple(red[t][d + j * m + k] for k in range(m)))
-            for t in range(len(v_span), d)
-        )
-        for j in range(len(points))
+        None if any(row[j] for row in red[n:]) else [row[j] for row in red[:n]]
+        for j in range(n, n + len(vecs))
     ]
+
+
+def _frame_coordinates(points, cols, basis):
+    """Exact coordinates of each point along independent rational columns.
+
+    p = sum_j y_j cols[j] with ExtendedRational y_j holds slice by slice,
+    p^(k) = sum_j y_j^(k) cols[j], so every constant slice of every point goes
+    into one `_column_coordinates` call.  Every point must lie in the span of cols.
+    """
+    m = basis.size + 1
+    ys = _column_coordinates(cols, [s for p in points for s in rational_parts(p)])
+    return [tuple(ExtendedRational(basis, y) for y in zip(*ys[i:i + m])) for i in range(0, len(ys), m)]
 
 
 def _combine(comp_points, coeffs: Point) -> Point:
@@ -491,40 +486,20 @@ def _rational_v_rows(group: ClosedSubgroup):
 
 
 def orthogonalize(group: ClosedSubgroup) -> ClosedSubgroup:
-    """Replace each lattice vector a by a - proj_V(a); same generated group."""
+    """Replace each lattice vector a by a - proj_V(a); same generated group.
+
+    In the frame [V | V-perp], a - proj_V(a) is the V-perp part of a.
+    """
     if not group.v_basis or not group.lambda_basis:
         return replace(group, orthogonal=True)
     vr = _rational_v_rows(group)
-    G = [[sum(a * b for a, b in zip(u, w)) for w in vr] for u in vr]
-    new_lam = []
-    for a in group.lambda_basis:
-        rhs = []
-        for v in vr:
-            acc = group.basis.zero()
-            for vc, ac in zip(v, a):
-                acc = acc + ac.scale(vc)
-            rhs.append(acc)
-        coeffs = _solve_er(G, rhs, group.basis)
-        proj = [group.basis.zero()] * group.dimension
-        for t, c in enumerate(coeffs):
-            for i in range(group.dimension):
-                proj[i] = proj[i] + c.scale(vr[t][i])
-        new_lam.append(tuple(ac - pc for ac, pc in zip(a, proj)))
-    return replace(group, lambda_basis=tuple(new_lam), orthogonal=True)
-
-
-def _solve_er(G, rhs, basis):
-    """Solve the rational SPD system G x = rhs with ExtendedRational rhs."""
-    m = basis.size + 1
-    cols = []
-    for k in range(m):
-        b = [r.coords[k] for r in rhs]
-        sol = rl.solve(G, b)
-        cols.append(sol)
-    out = []
-    for i in range(len(rhs)):
-        out.append(ExtendedRational(basis, tuple(cols[k][i] for k in range(m))))
-    return out
+    perp = rl.nullspace(vr)
+    perp_points = [point_from_fractions(group.basis, w) for w in perp]
+    new_lam = tuple(
+        _combine(perp_points, y[len(vr):])
+        for y in _frame_coordinates(group.lambda_basis, vr + perp, group.basis)
+    )
+    return replace(group, lambda_basis=new_lam, orthogonal=True)
 
 
 # -- hyperplane certificates -------------------------------------------------------------
@@ -630,7 +605,7 @@ def _validate_certificate(cert: HyperplaneCertificate, support: SupportDescripto
                 f"certificate fails at {format_point(x)}: pairing {val} not an integer "
                 f"multiple of {period}"
             )
-    for piece_basis, _ in support.affine_pieces:
+    for piece_basis in support.affine_pieces:
         for v in piece_basis:
             if not er_dot(cert.normal, v).is_zero():
                 raise ClosureError("certificate fails: affine piece not inside H")
@@ -684,8 +659,7 @@ def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
 
     # coset coordinates by exact linear solve x = V t + sum m_i lambda_i
     keys = {}
-    for p, w in atom_items:
-        m = _coset_coordinates(p, group)
+    for (p, w), m in zip(atom_items, _coset_keys([p for p, _ in atom_items], group)):
         if m is None:
             raise DecompositionError(f"atom {format_point(p)} lies in no coset V + a")
         keys.setdefault(tuple(m), []).append((p, w))
@@ -742,34 +716,28 @@ def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
     )
 
 
-def _coset_coordinates(p: Point, group: ClosedSubgroup):
-    """Integer coordinates m with p - sum m_i lambda_i in span(V), or None.
+def _coset_keys(points, group: ClosedSubgroup):
+    """Integer coordinates m with p - sum m_i lambda_i in span(V) for each point, or None.
 
-    One rational system over the constant slices k at once:
-    p^(k) = V t^(k) + sum_i m_i lambda_i^(k), with its own t^(k) per slice and
-    one m shared by all slices.  A slice where p and every lambda_i vanish
-    only forces t^(k) = 0 and is left out.
+    One frame [V | W], W a rational complement of V, reduces every point and every
+    lambda_i.  p lies in V + sum m_i lambda_i iff the W coordinates agree, slice by
+    slice: one rational system in m, the same for all points, whose columns are
+    the lambda_i's W coordinates over every constant slice.
     """
     vr = _rational_v_rows(group)
-    nv = len(vr)
-    p_parts = rational_parts(p)
-    lam_parts = [rational_parts(v) for v in group.lambda_basis]
-    live = [k for k, part in enumerate(p_parts) if any(part) or any(any(lp[k]) for lp in lam_parts)]
-    rows, rhs = [], []
-    for t, k in enumerate(live):
-        for i in range(group.dimension):
-            row = [Fraction(0)] * (len(live) * nv) + [lp[k][i] for lp in lam_parts]
-            for j, v in enumerate(vr):
-                row[t * nv + j] = v[i]
-            rows.append(row)
-            rhs.append(p_parts[k][i])
-    sol = rl.solve(rows, rhs)
-    if sol is None:
-        return None
-    m = sol[len(live) * nv:]
-    if any(c.denominator != 1 for c in m):
-        return None
-    return [int(c) for c in m]
+    lam = group.lambda_basis
+    frame = vr + _rational_complement(vr, group.dimension)
+    coords = _frame_coordinates(list(lam) + list(points), frame, group.basis)
+    flat = [[x for c in y[len(vr):] for x in c.coords] for y in coords]
+    keys = []
+    for m in _column_coordinates(flat[:len(lam)], flat[len(lam):]):
+        keys.append(None if m is None or any(c.denominator != 1 for c in m) else [int(c) for c in m])
+    return keys
+
+
+def _coset_coordinates(p: Point, group: ClosedSubgroup):
+    """Integer coordinates m with p - sum m_i lambda_i in span(V), or None."""
+    return _coset_keys([p], group)[0]
 
 
 def _lattice_keys_in_ball(group: ClosedSubgroup, radius: float):

@@ -21,7 +21,7 @@ from .closure import (
     orthogonalize,
 )
 from .counterexample import Counterexample, build_counterexample
-from .measures import LevyMeasure, support_of
+from .measures import LevyMeasure, group_support
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,9 @@ def decide_1d(mu: LevyMeasure) -> LiouvilleVerdict:
 
 def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
     """Any dimension: dense closure iff the Liouville property holds."""
-    desc = support_of(mu)
+    desc = group_support(mu)
     assumptions = _assumptions(mu)
-
-    extra_points = []
-    unbounded = []
-    for seq in mu.sequences:
-        kind, payload = seq.q_certification()
-        if kind == "unbounded":
-            unbounded.append(seq)
-        elif kind == "lattice":
-            extra_points.append(tuple(c.scale(payload) for c in seq.direction))
-    enriched = desc.with_extra(points=extra_points, directions=[s.direction for s in unbounded])
-
-    cl = closure_multid(enriched, probe_config=probe_config)
+    cl = closure_multid(desc, probe_config=probe_config)
     if not cl.is_certified():
         probe = cl.probe
         holds = None
@@ -113,12 +102,13 @@ def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
             elif cl.route is Route.ACCUMULATION and desc.has_accumulation_point:
                 witness = {"accumulation_points": desc.accumulation_points}
             elif cl.route is Route.ACCUMULATION:
-                route, witness = "unbounded_q_sequence", _unbounded_witness(unbounded[0])
+                seq = next(s for s in mu.sequences if s.q_certification()[0] == "unbounded")
+                route, witness = "unbounded_q_sequence", _unbounded_witness(seq)
         return LiouvilleVerdict(
             True, True, route, mu.dimension, closure=cl, witness=witness,
             assumptions=assumptions,
         )
-    return _failure_verdict(mu, cl, enriched, assumptions)
+    return _failure_verdict(mu, cl, desc, assumptions)
 
 
 def _failure_verdict(mu, cl, desc, assumptions) -> LiouvilleVerdict:

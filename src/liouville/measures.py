@@ -9,7 +9,7 @@ symbolically instead of sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import yaml
@@ -506,7 +506,7 @@ class SupportDescriptor:
     accumulation_points: tuple[Point, ...] = ()
     contains_interval_or_ball: bool = False
     spheres: tuple[float, ...] = ()
-    affine_pieces: tuple[tuple[tuple[Point, ...], Point], ...] = ()  # (basis, offset)
+    affine_pieces: tuple[tuple[Point, ...], ...] = ()  # one basis per subspace part
     dense_directions: tuple[Point, ...] = ()
 
     def is_empty(self) -> bool:
@@ -517,22 +517,6 @@ class SupportDescriptor:
             or self.spheres
             or self.affine_pieces
             or self.dense_directions
-        )
-
-    def with_extra(self, points=(), directions=()):
-        pts = list(self.finite_points)
-        for p in points:
-            if p not in pts:
-                pts.append(p)
-        return SupportDescriptor(
-            dimension=self.dimension,
-            finite_points=tuple(pts),
-            has_accumulation_point=self.has_accumulation_point,
-            accumulation_points=self.accumulation_points,
-            contains_interval_or_ball=self.contains_interval_or_ball,
-            spheres=self.spheres,
-            affine_pieces=self.affine_pieces,
-            dense_directions=tuple(self.dense_directions) + tuple(directions),
         )
 
     def positive_scalars_1d(self):
@@ -645,15 +629,14 @@ def support_of(mu: LevyMeasure) -> SupportDescriptor:
 
     interval = False
     spheres: list[float] = []
-    affine: list[tuple[tuple[Point, ...], Point]] = []
-    zero = tuple(mu.basis.zero() for _ in range(mu.dimension))
+    affine: list[tuple[Point, ...]] = []
     for part in mu.continuous:
         if isinstance(part, (FractionalPart, RelativisticPart, ConvolutionPart)):
             interval = True
         elif isinstance(part, SphereSurfacePart):
             spheres.append(part.radius)
         elif isinstance(part, AffinePart):
-            affine.append((part.basis, zero))
+            affine.append(part.basis)
 
     return SupportDescriptor(
         dimension=mu.dimension,
@@ -665,6 +648,26 @@ def support_of(mu: LevyMeasure) -> SupportDescriptor:
         affine_pieces=tuple(affine),
         dense_directions=tuple(dense_dirs),
     )
+
+
+def group_support(mu: LevyMeasure) -> SupportDescriptor:
+    """`support_of(mu)` plus what each sequence template certifies about its group.
+
+    A lattice sequence generates the group of its generator g * direction, and an
+    unbounded-denominator sequence is dense along its direction; the truncated
+    steps alone show neither.  Every closure of the generated group reads this.
+    """
+    desc = support_of(mu)
+    points, directions = list(desc.finite_points), list(desc.dense_directions)
+    for seq in mu.sequences:
+        kind, payload = seq.q_certification()
+        if kind == "unbounded":
+            directions.append(seq.direction)
+        elif kind == "lattice":
+            p = tuple(c.scale(payload) for c in seq.direction)
+            if p not in points:
+                points.append(p)
+    return replace(desc, finite_points=tuple(points), dense_directions=tuple(directions))
 
 
 @dataclass(frozen=True)

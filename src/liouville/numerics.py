@@ -2,7 +2,7 @@
 
 Atomic parts are summed exactly (with a certified series tail for templates);
 radial kernels use a three-zone radial rule: an analytic Taylor core below
-r_switch (avoids catastrophic cancellation of the compensated integrand),
+R_SWITCH (avoids catastrophic cancellation of the compensated integrand),
 log-spaced Simpson up to the split radius r0, and linear Simpson beyond it so
 oscillatory integrands stay resolved.  Every evaluation reports an error
 bound: analytic tails plus embedded half-resolution quadrature estimates.
@@ -314,6 +314,9 @@ class EvalResult:
     parts: dict = field(default_factory=dict)
 
 
+R_SWITCH = 1e-4  # outer radius of the analytic Taylor core of every radial kernel
+
+
 @dataclass(frozen=True)
 class OperatorEvaluator:
     """Configured evaluator for L^mu[u](x) with reported error bounds.
@@ -325,7 +328,6 @@ class OperatorEvaluator:
     measure: LevyMeasure
     r0: float = 1.0
     nodes_per_decade: int = 64
-    r_switch: float = 1e-4
     outer_step: float = 0.05
     outer_radius: float = 1e4
     truncation: int | None = None
@@ -560,7 +562,7 @@ class _RadialPlan:
                                    lambda: sphere_nodes(kdim, ev.sphere_count))
         self.dirs = dirs @ frame.T  # rows: directions in the part's span, embedded in R^d
         self.kdim = kdim
-        r_s = min(ev.r_switch, ev.r0)
+        r_s = min(R_SWITCH, ev.r0)
         self.m2, self.m2_err = kern.moment2_core(r_s)
         half_per_decade = max(8, ev.nodes_per_decade // 2)
         self.inner = _Zone(kern, _Simpson.log_spaced(r_s, ev.r0, ev.nodes_per_decade),
@@ -576,8 +578,8 @@ def _eval_radial(ev, plan: _RadialPlan, u, x):
     ux = float(_value(u, x))
     g = _grad(u, x)
 
-    # zone 1: analytic Taylor core on (0, r_switch]
-    r_s = min(ev.r_switch, ev.r0)
+    # zone 1: analytic Taylor core on (0, R_SWITCH]
+    r_s = min(R_SWITCH, ev.r0)
     sum_dir2 = float(sum(ws * _dir2(u, x, w) for w, ws in zip(plan.dirs, plan.w_sph)))
     core = 0.5 * sum_dir2 * plan.m2
     d3 = _sup(u, "sup_d3")
@@ -597,7 +599,7 @@ def _eval_radial(ev, plan: _RadialPlan, u, x):
                 acc += ws * (vals - ux)
         return acc * ker * radii ** (plan.kdim - 1)
 
-    # zone 2: log-Simpson compensated on [r_switch, r0]; zone 3: linear Simpson on [r0, R_cut]
+    # zone 2: log-Simpson compensated on [R_SWITCH, r0]; zone 3: linear Simpson on [r0, R_cut]
     i1, i2 = plan.inner.sums(integrand, True)
     o1, o2 = plan.outer.sums(integrand, False)
 
@@ -677,13 +679,12 @@ def propagate(
     n_max: int = 40,
     target_delta: float | None = None,
     grid_div: int = 200,
-    margin: float | None = None,
     cap: int = 5_000_000,
 ) -> PropagationState:
     """Minkowski-sum iteration with exact deduplication and covering radii.
 
     Each layer adds every step to every point of the previous layer, keeps the
-    candidates within R + margin of the origin, and of those the first in
+    candidates within R + the longest step of the origin, and of those the first in
     (frontier, step) order for each exact point not reached before.
     """
     if not support_points:
@@ -702,9 +703,7 @@ def propagate(
     step_pos = np.array(
         [[float(sum(float(f) * v for f, v in zip(c, floats))) for c in s] for s in steps]
     )
-    if margin is None:
-        margin = max(float(np.linalg.norm(v)) for v in step_pos)
-    lim = R + margin
+    lim = R + max(float(np.linalg.norm(v)) for v in step_pos)
 
     keys = [(0,) * (d * (basis.size + 1))]
     seen = set(keys)
@@ -801,14 +800,16 @@ def density_probe(
     R: float = 5.0,
     n_max: int = 40,
     grid_div: int = 200,
-    snap_tol: float = 1e-9,
 ) -> ProbeResult:
     """Numerical surrogate: never a certificate, only a diagnostic direction."""
     state = propagate(support_points, R=R, n_max=n_max, grid_div=grid_div)
-    return classify_propagation(state, snap_tol)
+    return classify_propagation(state)
 
 
-def classify_propagation(state: PropagationState, snap_tol: float = 1e-9) -> ProbeResult:
+_SNAP_TOL = 1e-9  # largest lattice-fit residual that counts as a lattice
+
+
+def classify_propagation(state: PropagationState) -> ProbeResult:
     """The density probe's verdict on a propagation already run.
 
     Fits a lattice to the float positions of the reached points; `density_probe`
@@ -816,8 +817,8 @@ def classify_propagation(state: PropagationState, snap_tol: float = 1e-9) -> Pro
     """
     deltas = state.deltas
     plateau = len(deltas) >= 5 and max(deltas[-5:]) - min(deltas[-5:]) < 1e-12
-    g_est, basis_est, residual = _lattice_fit(state.positions, snap_tol)
-    snapped = residual is not None and residual < snap_tol
+    g_est, basis_est, residual = _lattice_fit(state.positions)
+    snapped = residual is not None and residual < _SNAP_TOL
 
     if plateau and snapped:
         verdict = "lattice-detected"
@@ -836,7 +837,7 @@ def classify_propagation(state: PropagationState, snap_tol: float = 1e-9) -> Pro
     )
 
 
-def _lattice_fit(pts: np.ndarray, tol: float):
+def _lattice_fit(pts: np.ndarray):
     """Fit a lattice to the point set; returns (g, basis, max residual)."""
     d = pts.shape[1]
     nz = pts[np.linalg.norm(pts, axis=1) > 1e-12]

@@ -132,6 +132,20 @@ class TestOtherCommands:
         assert code == 2
         assert "dense" in err
 
+    @pytest.mark.parametrize("command", ["decompose", "counterexample"])
+    def test_uncertified_verdict_is_named(self, capsys, command):
+        probe_input = os.path.join(os.path.dirname(__file__), "golden", "probe_products.yaml")
+        code, out, err = run(capsys, command, probe_input, "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert "uncertified" in err
+        assert "dense" not in err and "no counterexample exists" not in err
+
+    def test_counterexample_rejects_dense(self, capsys):
+        code, _, err = run(capsys, "counterexample", spec_path("fractional.yaml"), "--no-timestamp")
+        assert code == 2
+        assert "Liouville holds" in err and "uncertified" not in err
+
     def test_counterexample_command(self, tmp_path, capsys):
         csv = tmp_path / "ce.csv"
         code, out, _ = run(

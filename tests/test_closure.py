@@ -1,8 +1,11 @@
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from liouville import ratlinalg as rl
 from liouville.closure import (
     ClosedSubgroup,
     ClosureError,
@@ -17,6 +20,8 @@ from liouville.closure import (
     point_from_fractions,
     rational_ratio,
     _coset_coordinates,
+    _coset_keys,
+    _frame_coordinates,
 )
 from liouville.exactreal import ConstantBasis, ExtendedRational
 from liouville.measures import SupportDescriptor, parse_measure, support_of
@@ -678,3 +683,130 @@ class TestDecomposeRegressions:
         parts = dict(zip(dec.coset_keys, dec.parts))
         assert sorted(str(w) for _, w in parts[(2,)]) == ["1", "1/3"]
         assert sorted(str(w) for _, w in parts[(-2,)]) == ["1", "1/3"]
+
+
+# -- the change of frame against per-slice and Gram/block-system references -------------
+
+
+def gram_orthogonalize(group):
+    """Reference: a - V x with G x = <V, a> solved for each constant slice (G = V V^T)."""
+    if not group.v_basis or not group.lambda_basis:
+        return replace(group, orthogonal=True)
+    zero, m = group.basis.zero(), group.basis.size + 1
+    vr = [[c.coords[0] for c in v] for v in group.v_basis]
+    G = [[sum(a * b for a, b in zip(u, w)) for w in vr] for u in vr]
+    new_lam = []
+    for a in group.lambda_basis:
+        rhs = [sum((ac.scale(vc) for vc, ac in zip(v, a)), zero) for v in vr]
+        sols = [rl.solve(G, [r.coords[k] for r in rhs]) for k in range(m)]
+        x = [ExtendedRational(group.basis, tuple(sol[t] for sol in sols)) for t in range(len(vr))]
+        proj = [sum((xt.scale(v[i]) for xt, v in zip(x, vr)), zero) for i in range(group.dimension)]
+        new_lam.append(tuple(ac - pc for ac, pc in zip(a, proj)))
+    return replace(group, lambda_basis=tuple(new_lam), orthogonal=True)
+
+
+def block_coset_coordinates(p, group):
+    """Reference: p^(k) = V t^(k) + sum_i m_i lambda_i^(k) as one block system in (t, m)."""
+    vr = [[c.coords[0] for c in v] for v in group.v_basis]
+    m_slots = group.basis.size + 1
+    p_parts = [[c.coords[k] for c in p] for k in range(m_slots)]
+    lam_parts = [[[c.coords[k] for c in v] for k in range(m_slots)] for v in group.lambda_basis]
+    rows, rhs = [], []
+    for t in range(m_slots):
+        for i in range(group.dimension):
+            row = [Fraction(0)] * (m_slots * len(vr)) + [lp[t][i] for lp in lam_parts]
+            for j, v in enumerate(vr):
+                row[t * len(vr) + j] = v[i]
+            rows.append(row)
+            rhs.append(p_parts[t][i])
+    sol = rl.solve(rows, rhs)
+    if sol is None:
+        return None
+    m = sol[m_slots * len(vr):]
+    return None if any(c.denominator != 1 for c in m) else [int(c) for c in m]
+
+
+def subgroup(basis, v_basis, lambda_basis):
+    return ClosedSubgroup(
+        dimension=len((v_basis + lambda_basis)[0]), basis=basis, v_basis=tuple(v_basis),
+        lambda_basis=tuple(lambda_basis), orthogonal=False, provenance="exact", route="test",
+    )
+
+
+def random_er(rng, basis):
+    return ExtendedRational(
+        basis, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(basis.size + 1))
+    )
+
+
+class TestFrameCoordinates:
+    def test_seeded_frames_match_per_slice_solve(self, sqrt23_basis):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            d = rng.randint(1, 4)
+            n = rng.choice([d, rng.randint(1, d)])  # square or full column rank
+            cols = []
+            while len(cols) < n:
+                col = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+                if rl.rank(cols + [col]) == len(cols) + 1:
+                    cols.append(col)
+            points = []
+            for _ in range(rng.randint(1, 5)):
+                y = [random_er(rng, sqrt23_basis) for _ in range(n)]
+                points.append(tuple(
+                    sum((yj.scale(col[i]) for yj, col in zip(y, cols)), sqrt23_basis.zero())
+                    for i in range(d)
+                ))
+            got = _frame_coordinates(points, cols, sqrt23_basis)
+            assert len(got) == len(points)
+            colmat = [[col[i] for col in cols] for i in range(d)]
+            for p, y in zip(points, got):
+                per_slice = [rl.solve(colmat, [c.coords[k] for c in p]) for k in range(3)]
+                assert y == tuple(
+                    ExtendedRational(sqrt23_basis, tuple(sol[t] for sol in per_slice)) for t in range(n)
+                )
+                rebuilt = tuple(
+                    sum((yt.scale(col[i]) for yt, col in zip(y, cols)), sqrt23_basis.zero())
+                    for i in range(d)
+                )
+                assert rebuilt == p
+
+    def orthogonalize_cases(self, plain_basis, sqrt23_basis):
+        def pts(basis, *vecs):
+            return [point_from_fractions(basis, v) for v in vecs]
+
+        s2, s3 = er(sqrt23_basis, 0, 1, 0), er(sqrt23_basis, 0, 0, 1)
+        one, zero = sqrt23_basis.one(), sqrt23_basis.zero()
+        return [
+            subgroup(plain_basis, pts(plain_basis, [1, 0]), pts(plain_basis, [1, 1])),
+            subgroup(plain_basis, pts(plain_basis, [1, 0]), pts(plain_basis, [0, 3])),
+            subgroup(plain_basis, [], pts(plain_basis, [2, 1])),
+            subgroup(plain_basis, pts(plain_basis, [1, 2, 0]), pts(plain_basis, [1, 1, 1], [0, 3, 2])),
+            subgroup(sqrt23_basis, pts(sqrt23_basis, [1, 1, 0]), [(s2, zero, one), (one, s3 + one, s2)]),
+        ]
+
+    def test_orthogonalize_and_coset_keys_match_references(self, plain_basis, sqrt23_basis):
+        for group in self.orthogonalize_cases(plain_basis, sqrt23_basis):
+            ortho = orthogonalize(group)
+            assert ortho == gram_orthogonalize(group)
+            probes = list(group.lambda_basis) + list(ortho.lambda_basis) + [
+                tuple(c.scale(Fraction(1, 2)) for c in lam) for lam in group.lambda_basis
+            ] + [point_from_fractions(group.basis, [int(i == j) for i in range(group.dimension)])
+                 for j in range(group.dimension)]
+            for g in (group, ortho):
+                assert _coset_keys(probes, g) == [block_coset_coordinates(p, g) for p in probes]
+
+    def test_closure_corpus_matches_references(self):
+        from test_closure_corpus import CASES, measure_of
+
+        for name, points, plant in CASES:
+            if plant[0] != "fails":
+                continue
+            mu = measure_of(points, len(points[0]))
+            group = closure_multid(support_of(mu))
+            ortho = orthogonalize(group)
+            assert ortho == gram_orthogonalize(group), name
+            atoms = [a.point for a in mu.atoms]
+            probes = atoms + [tuple(c.scale(Fraction(1, 2)) for c in p) for p in atoms]
+            for g in (group, ortho):
+                assert _coset_keys(probes, g) == [block_coset_coordinates(p, g) for p in probes], name

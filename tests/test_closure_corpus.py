@@ -19,15 +19,34 @@ against the plant and never against its own output.
 `corpus()` is importable, so the same inputs can be run against any checkout.
 """
 
+import contextlib
+import io
+import os
 import random
 from fractions import Fraction
 
+import pytest
+
+from liouville import cli
 from liouville import ratlinalg as rl
-from liouville.closure import _coset_coordinates, _validate_certificate, er_dot
+from liouville.closure import (
+    _coset_coordinates,
+    _validate_certificate,
+    closure_multid,
+    er_dot,
+    orthogonalize,
+)
 from liouville.decider import decide
 from liouville.exactreal import ConstantBasis, ExtendedRational
-from liouville.measures import Atom, LevyMeasure, point_is_zero, support_of, validate_measure
-from conftest import SQRT2_50, SQRT3_50
+from liouville.measures import (
+    Atom,
+    LevyMeasure,
+    parse_measure,
+    point_is_zero,
+    support_of,
+    validate_measure,
+)
+from conftest import SPEC_DIR, SQRT2_50, SQRT3_50
 
 BASIS = ConstantBasis(("sqrt2", "sqrt3"), (SQRT2_50, SQRT3_50))
 SLOTS = 3  # basis slots: 1, sqrt2, sqrt3
@@ -197,3 +216,43 @@ def test_planted_holds_are_certified():
         v = decide(measure_of(points, len(points[0])), probe_config=FAST_PROBE)
         assert v.certified and v.holds is True, name
         assert v.closure.is_full(), name
+
+
+# -- the closure command and decide read one group -----------------------------------
+
+SPECS = sorted(f[:-5] for f in os.listdir(SPEC_DIR) if f.endswith(".yaml"))
+
+
+def closure_command_group(monkeypatch, mu):
+    """The group `liouville closure` reports for mu, taken from its closure_multid call."""
+    groups = []
+
+    def recording_closure(desc):
+        groups.append(closure_multid(desc))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "_load", lambda path, args=None: ("", mu))
+    monkeypatch.setattr(cli, "closure_multid", recording_closure)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["closure", "input.yaml", "--no-timestamp"])
+    return groups[0]
+
+
+def assert_closure_agrees_with_decide(monkeypatch, mu, name):
+    group = closure_command_group(monkeypatch, mu)
+    v = decide(mu, probe_config=FAST_PROBE)
+    assert group.is_full() == (v.holds is True), name
+    if v.holds is False:
+        assert orthogonalize(group) == v.closure, name
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_closure_command_agrees_with_decide_on_specs(monkeypatch, spec):
+    with open(os.path.join(SPEC_DIR, spec + ".yaml")) as fh:
+        mu = parse_measure(fh.read())
+    assert_closure_agrees_with_decide(monkeypatch, mu, spec)
+
+
+def test_closure_command_agrees_with_decide_on_corpus(monkeypatch):
+    for name, points, _ in CASES:
+        assert_closure_agrees_with_decide(monkeypatch, measure_of(points, len(points[0])), name)

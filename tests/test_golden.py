@@ -1,4 +1,4 @@
-"""Golden reports: `decide` and `decompose` on every bundled spec, `propagate`, `verify`.
+"""Golden reports: `decide`, `decompose` and `closure` on every bundled spec, `propagate`, `verify`.
 
 Each file under tests/golden/ holds the exit code, stdout and stderr of one
 `liouville <command> specs/<spec>.yaml --no-timestamp` run.  The closure engine
@@ -8,8 +8,9 @@ The propagate files hold the CSV (stdout) and the probe lines (stderr) of
 `liouville propagate` on every bundled spec with finite support points at a small
 window, and at the configurations of the probe-fallback benchmark workload.  The
 sequence specs are left out: with their 2,000 and 200 steps each run takes
-minutes and gigabytes even at the small window.  `probe_products.decide.txt` is
-the report of an input the exact closure cannot decide, with the probe deltas.
+minutes and gigabytes even at the small window.  `probe_products.decide.txt` and
+`probe_products.closure.txt` are the reports of an input the exact closure cannot
+decide, with the probe deltas.
 
 The verify files hold `liouville verify --no-timestamp --points 4 --seed 1` with
 `cos` on every bundled spec, `harmonic_xy` on `mean_value`, and three non-default
@@ -35,7 +36,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SPEC_DIR = os.path.join(HERE, "..", "specs")
 GOLDEN_DIR = os.path.join(HERE, "golden")
 SPECS = sorted(f[:-5] for f in os.listdir(SPEC_DIR) if f.endswith(".yaml"))
-COMMANDS = ("decide", "decompose")
+COMMANDS = ("decide", "decompose", "closure")
 
 SMALL_WINDOW = ["--R", "3", "--n-max", "6", "--grid-div", "40"]
 FINITE_SPECS = (
@@ -60,6 +61,7 @@ PROPAGATE_CASES.update({
     "discrete_laplacian.propagate-R5-n40": ("discrete_laplacian", ["--R", "5", "--n-max", "40"]),
 })
 PROBE_INPUT = os.path.join(GOLDEN_DIR, "probe_products.yaml")
+PROBE_COMMANDS = ("decide", "closure")
 
 VERIFY_ARGS = ["--no-timestamp", "--points", "4", "--seed", "1"]
 # golden name -> (spec, verify arguments after VERIFY_ARGS)
@@ -97,8 +99,8 @@ def capture_verify(name: str) -> str:
     return run(["verify", spec_path(spec)] + VERIFY_ARGS + extra)
 
 
-def capture_probe_decide() -> str:
-    return run(["decide", PROBE_INPUT, "--no-timestamp"])
+def capture_probe(command: str) -> str:
+    return run([command, PROBE_INPUT, "--no-timestamp"])
 
 
 def golden_path(command: str, spec: str) -> str:
@@ -122,6 +124,14 @@ def test_every_spec_has_golden_files():
             assert os.path.exists(golden_path(command, spec))
 
 
+def test_every_golden_file_is_a_captured_case():
+    names = {f"{spec}.{command}" for command in COMMANDS for spec in SPECS}
+    names |= {f"probe_products.{command}" for command in PROBE_COMMANDS}
+    names |= set(PROPAGATE_CASES) | set(VERIFY_CASES)
+    expected = {name + ".txt" for name in names} | {os.path.basename(PROBE_INPUT)}
+    assert sorted(set(os.listdir(GOLDEN_DIR)) - expected) == []
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("spec", SPECS)
 def test_report_matches_golden(command, spec):
@@ -139,7 +149,11 @@ def test_verify_matches_golden(name):
 
 
 def test_probe_decide_matches_golden():
-    assert capture_probe_decide() == read_golden(golden_path("decide", "probe_products"))
+    assert capture_probe("decide") == read_golden(golden_path("decide", "probe_products"))
+
+
+def test_probe_closure_matches_golden():
+    assert capture_probe("closure") == read_golden(golden_path("closure", "probe_products"))
 
 
 if __name__ == "__main__":
@@ -151,4 +165,5 @@ if __name__ == "__main__":
         write_golden(os.path.join(GOLDEN_DIR, name + ".txt"), capture_propagate(name))
     for name in VERIFY_CASES:
         write_golden(os.path.join(GOLDEN_DIR, name + ".txt"), capture_verify(name))
-    write_golden(golden_path("decide", "probe_products"), capture_probe_decide())
+    for command in PROBE_COMMANDS:
+        write_golden(golden_path(command, "probe_products"), capture_probe(command))
