@@ -238,14 +238,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    import numpy as np
-
     text, mu = _load(args.spec, args)
     verdict = decide(mu)
     if verdict.holds or not verdict.certified:
         why = "Liouville holds; no counterexample exists" if verdict.certified else _UNCERTIFIED
         print(why, file=sys.stderr)
         return EXIT_INPUT_ERROR
+    import numpy as np
+
     ce = verdict.counterexample
     r = _header(text)
     r.add("kind", ce.kind)

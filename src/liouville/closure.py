@@ -634,14 +634,16 @@ class DecompositionError(ValueError):
 
 
 def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
-    """Partition atoms by coset V + a and verify the decomposition laws."""
+    """Partition atoms by coset V + a and verify the decomposition laws.
+
+    The parts are listed for the occupied cosets, their mirrors and the origin.
+    """
     from .measures import AffinePart
 
     if group.is_full():
         raise DecompositionError("Liouville holds; nothing to decompose")
     if not group.orthogonal:
         group = orthogonalize(group)
-    d = group.dimension
     basis = group.basis
 
     atom_items = [(a.point, a.weight) for a in mu.atoms]
@@ -664,35 +666,14 @@ def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
             raise DecompositionError(f"atom {format_point(p)} lies in no coset V + a")
         keys.setdefault(tuple(m), []).append((p, w))
 
-    # enumeration ball: all finite support plus the origin coset
-    radius = 0.0
-    for p, _ in atom_items:
-        radius = max(radius, math.sqrt(sum(float(c) ** 2 for c in p)))
-    lattice_keys = _lattice_keys_in_ball(group, radius)
-    for k in keys:
-        if k not in lattice_keys:
-            lattice_keys.append(k)
     zero_key = tuple(0 for _ in group.lambda_basis)
-    if zero_key not in lattice_keys:
-        lattice_keys.append(zero_key)
-    lattice_keys.sort()
-
-    coset_points = []
-    parts = []
-    for key in lattice_keys:
-        pt = [basis.zero()] * d
-        for m, lamv in zip(key, group.lambda_basis):
-            for i in range(d):
-                pt[i] = pt[i] + lamv[i] * Fraction(m)
-        coset_points.append(tuple(pt))
-        parts.append(tuple(keys.get(key, ())))
+    lattice_keys = sorted(set(keys) | {tuple(-x for x in k) for k in keys} | {zero_key})
+    coset_points = [_lattice_point(group, key) for key in lattice_keys]
+    parts = [tuple(keys.get(key, ())) for key in lattice_keys]
 
     _verify_symmetry_pairing(lattice_keys, parts)
 
-    separation = math.inf
-    for key, pt in zip(lattice_keys, coset_points):
-        if any(key):
-            separation = min(separation, math.sqrt(sum(float(c) ** 2 for c in pt)))
+    separation = _separation(group)
     if separation == 0:
         raise DecompositionError("lattice separation collapsed to 0")
 
@@ -740,36 +721,42 @@ def _coset_coordinates(p: Point, group: ClosedSubgroup):
     return _coset_keys([p], group)[0]
 
 
-def _lattice_keys_in_ball(group: ClosedSubgroup, radius: float):
-    """All integer lattice coordinates whose points lie in the closed ball."""
-    r = len(group.lambda_basis)
-    if r == 0:
-        return [()]
-    import numpy as np
+def _lattice_point(group: ClosedSubgroup, key) -> Point:
+    """sum_i key[i] * lambda_i, exactly."""
+    pt = [group.basis.zero()] * group.dimension
+    for m, lamv in zip(key, group.lambda_basis):
+        pt = [x + c * Fraction(m) for x, c in zip(pt, lamv)]
+    return tuple(pt)
 
-    B = np.array([[float(c) for c in v] for v in group.lambda_basis]).T
-    G = B.T @ B
-    Ginv = np.linalg.inv(G)
-    bounds = [int(math.floor(math.sqrt(max(Ginv[i, i], 0.0)) * radius + 1e-9)) for i in range(r)]
-    keys = []
-    import itertools
 
-    for m in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        vec = B @ np.array(m, dtype=float)
-        if np.linalg.norm(vec) <= radius + 1e-9:
-            keys.append(tuple(int(x) for x in m))
-    return keys
+def _separation(group: ClosedSubgroup) -> float:
+    """Norm of a shortest nonzero vector of Z-span(lambda); inf at rank 0.
+
+    The search box is that of `rl.box_norms`, which depends on the basis only.
+    The Gram matrix G is taken from the float basis, so a mixed-scale lattice
+    such as (1, 0), (0, sqrt2) needs no product of constants; every candidate
+    within rounding of the shortest is rebuilt exactly and reports its norm as
+    sqrt(sum float(c)^2) over its exact coordinates.
+    """
+    if group.lattice_rank == 0:
+        return math.inf
+    vecs = [[float(c) for c in v] for v in group.lambda_basis]
+    G = [[math.fsum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
+    tol = 1 + 1e-9
+    best, near = math.inf, []
+    for m, q in rl.box_norms(G):
+        if q < best:
+            best = q
+            near = [(k, s) for k, s in near if s <= best * tol]
+        if q <= best * tol:
+            near.append((m, q))
+    return min(math.sqrt(sum(float(c) ** 2 for c in _lattice_point(group, m))) for m, _ in near)
 
 
 def _verify_symmetry_pairing(keys, parts):
     """mu_a(.) must equal mu_{-a}(-.) atom by atom, as multisets of (point, weight)."""
     index = {k: i for i, k in enumerate(keys)}
     for k, part in zip(keys, parts):
-        nk = tuple(-x for x in k)
-        if nk not in index:
-            if part:
-                raise DecompositionError(f"missing mirror coset for {k}")
-            continue
-        mirror = parts[index[nk]]
+        mirror = parts[index[tuple(-x for x in k)]]
         if (part or mirror) and Counter(part) != Counter((negate_point(p), w) for p, w in mirror):
             raise DecompositionError(f"symmetry pairing fails at coset {k}")

@@ -209,37 +209,40 @@ def shortest_vector(basis, dot, norm_sq=None):
     the coefficient tuple, preferring the sign making the first nonzero
     numeric coordinate positive; callers canonicalize signs afterwards.
     """
-    r = len(basis)
-    if r == 0:
+    if not basis:
         return None, None
-    G = gram(basis, dot)
-    best_norm = min(G[i][i] for i in range(r))
-    # coefficient bound: |m_i| <= sqrt(best_norm * (G^-1)_ii)
-    Ginv_diag = []
-    for i in range(r):
-        e = [Fraction(int(j == i)) for j in range(r)]
-        col = solve(G, e)
-        Ginv_diag.append(col[i])
-    bounds = [int(math.isqrt(int(best_norm * gii)) + 1) for gii in Ginv_diag]
     best = None
     best_m = None
-    for m in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        if not any(m):
-            continue
-        n = Fraction(0)
-        for i in range(r):
-            if m[i] == 0:
-                continue
-            for j in range(r):
-                if m[j] != 0:
-                    n += m[i] * m[j] * G[i][j]
+    for m, n in box_norms(gram(basis, dot)):
         if best is None or n < best or (n == best and m < best_m):
             best = n
             best_m = m
-    vec = None
-    if best_m is not None:
-        vec = best_m
-    return vec, best
+    return best_m, best
+
+
+def coefficient_bounds(G):
+    """Bounds b_i with |m_i| <= b_i for every m with m^T G m <= min_j G_jj.
+
+    Such an m has |m_i| <= sqrt(min_j G_jj * (G^-1)_ii); the + 1 absorbs the
+    floor of the integer square root.  The bound is computed exactly from the
+    entries of G, which may be rationals or floats.
+    """
+    r = len(G)
+    top = min(Fraction(G[i][i]) for i in range(r))
+    ginv_diag = [solve(G, [Fraction(int(j == i)) for j in range(r)])[i] for i in range(r)]
+    return [math.isqrt(int(top * g)) + 1 for g in ginv_diag]
+
+
+def box_norms(G):
+    """(m, m^T G m) for every nonzero integer m in the box of `coefficient_bounds(G)`.
+
+    A shortest nonzero vector of the lattice with Gram matrix G is among them.
+    The form is summed in the type of G's entries: exact for rationals.
+    """
+    r = len(G)
+    for m in itertools.product(*(range(-b, b + 1) for b in coefficient_bounds(G))):
+        if any(m):
+            yield m, sum(m[i] * m[j] * G[i][j] for i in range(r) if m[i] for j in range(r) if m[j])
 
 
 def complete_primitive(m):

@@ -268,12 +268,17 @@ print(json.dumps([m for m in ("scipy", "liouville.numerics") if m in sys.modules
 """)
         assert json.loads(out) == []
 
-    def test_decide_without_numpy(self):
+    @pytest.mark.parametrize("command, spec", [
+        ("decide", "fractional.yaml"),
+        ("counterexample", "fractional.yaml"),  # dense: exits before any sample is drawn
+        ("decompose", "kronecker_rational.yaml"),
+    ])
+    def test_without_numpy(self, command, spec):
         out = _fresh_interpreter(f"""
 import contextlib, io, json, sys
 from liouville.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    main(["decide", {spec_path("fractional.yaml")!r}])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main([{command!r}, {spec_path(spec)!r}])
 print(json.dumps("numpy" in sys.modules))
 """)
         assert json.loads(out) is False

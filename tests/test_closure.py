@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -10,6 +11,7 @@ from liouville.closure import (
     ClosedSubgroup,
     ClosureError,
     DecompositionError,
+    Route,
     closure_1d,
     closure_multid,
     decompose_measure,
@@ -22,8 +24,9 @@ from liouville.closure import (
     _coset_coordinates,
     _coset_keys,
     _frame_coordinates,
+    _separation,
 )
-from liouville.exactreal import ConstantBasis, ExtendedRational
+from liouville.exactreal import ConstantBasis, ExtendedRational, NotRepresentableError
 from liouville.measures import SupportDescriptor, parse_measure, support_of
 from conftest import PI_50, SQRT2_50, SQRT3_50, er, spec_path
 
@@ -399,6 +402,105 @@ class TestDecompose:
         zero_part = occupied[(0,)]
         assert len(zero_part) == 2
         assert dec.separation == pytest.approx(math.sqrt(0.5))
+
+    @staticmethod
+    def assert_lists_occupied_mirrors_origin(mu):
+        from liouville.decider import decide
+
+        v = decide(mu)
+        assert v.holds is False and v.certified
+        dec = decompose_measure(mu, v.closure)
+        occupied = {k for k, p in zip(dec.coset_keys, dec.parts) if p}
+        mirrors = {tuple(-x for x in k) for k in occupied}
+        assert list(dec.coset_keys) == sorted(occupied | mirrors | {(0,) * dec.group.lattice_rank})
+        return dec
+
+    @pytest.mark.parametrize(
+        "spec", ["discrete_laplacian", "kronecker_rational", "kronecker_sqrt2_sqrt2", "planar_fractional"]
+    )
+    def test_lists_only_occupied_cosets_on_specs(self, spec):
+        self.assert_lists_occupied_mirrors_origin(load(spec + ".yaml"))
+
+    def test_lists_only_occupied_cosets_on_corpus(self):
+        from test_closure_corpus import CASES, measure_of
+
+        fails = [pts for _, pts, plant in CASES if plant[0] == "fails"]
+        assert len(fails) == 48
+        for pts in fails:
+            self.assert_lists_occupied_mirrors_origin(measure_of(pts, len(pts[0])))
+
+    def test_stress_row_lists_at_most_twice_the_occupied_cosets(self):
+        # atom (1, 0) plus n (1, 1), n <= 200: a bounding ball would hold ~251k cosets
+        mu = parse_measure(
+            "dimension: 2\natoms:\n"
+            '  - {point: ["1", "0"], weight: "1"}\n'
+            "sequences:\n"
+            "  - template: poly_ratio\n"
+            '    numerator: ["0", "1"]\n'
+            '    denominator: ["1"]\n'
+            "    weights: {kind: power, c: '1', s: 3}\n"
+            "    truncation: 200\n"
+            '    direction: ["1", "1"]\n'
+        )
+        dec = self.assert_lists_occupied_mirrors_origin(mu)
+        occupied = sum(1 for p in dec.parts if p)
+        assert occupied == 402
+        assert len(dec.coset_keys) <= 2 * occupied + 1
+        assert dec.separation == 1.0
+
+    @staticmethod
+    def brute_force_separation(group, box):
+        """min over 0 < |m|_inf <= box of the norm of the exact point sum m_i lambda_i.
+
+        Float vectors find the near-shortest m; only those are rebuilt exactly.
+        """
+        lam = group.lambda_basis
+        flt = [[float(c) for c in v] for v in lam]
+        approx = {}
+        for m in itertools.product(range(-box, box + 1), repeat=len(lam)):
+            if any(m):
+                approx[m] = sum(sum(mi * v[j] for mi, v in zip(m, flt)) ** 2 for j in range(group.dimension))
+        top = min(approx.values()) * (1 + 1e-6)
+        near = [m for m, q in approx.items() if q <= top]
+        return min(
+            math.sqrt(sum(float(sum((v[j] * Fraction(mi) for mi, v in zip(m, lam)), group.basis.zero())) ** 2
+                          for j in range(group.dimension)))
+            for m in near
+        )
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_separation_is_a_shortest_vector(self, rank):
+        basis = ConstantBasis(("sqrt2", "sqrt3"), (SQRT2_50, SQRT3_50))
+        rng = random.Random(rank)
+        for _ in range(6):
+            d = rng.randint(rank, 3)
+            while True:
+                vecs = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)] for _ in range(rank)]
+                if rl.rank(vecs) == rank:
+                    break
+            # each vector scaled by 1, sqrt2 or sqrt3: mixed-scale lattices included
+            lam = []
+            for vec in vecs:
+                scale = [0, 0, 0]
+                scale[rng.randrange(3)] = 1
+                lam.append(tuple(er(basis, *(x * s for s in scale)) for x in vec))
+            group = ClosedSubgroup(d, basis, (), tuple(lam), True, "exact", Route.LATTICE)
+            # the brute force must search a strictly wider box than the code does
+            flt = [[float(c) for c in v] for v in lam]
+            G = [[math.fsum(a * b for a, b in zip(u, v)) for v in flt] for u in flt]
+            assert max(rl.coefficient_bounds(G)) < 10
+            assert _separation(group) == self.brute_force_separation(group, 10)
+
+    def test_separation_of_mixed_scale_lattice(self):
+        # (1, 0), (0, sqrt2): the exact Gram matrix would need sqrt2 * sqrt2
+        basis = ConstantBasis(("sqrt2",), (SQRT2_50,))
+        lam = ((er(basis, 1, 0), er(basis, 0, 0)), (er(basis, 0, 0), er(basis, 0, 1)))
+        with pytest.raises(NotRepresentableError):
+            er_dot(lam[1], lam[1])
+        group = ClosedSubgroup(2, basis, (), lam, True, "exact", Route.LATTICE)
+        assert _separation(group) == 1.0
+        assert _separation(replace(group, lambda_basis=lam[1:])) == math.sqrt(2.0)
+        assert _separation(replace(group, lambda_basis=())) == math.inf
 
 
 class TestCompoundClosures:
