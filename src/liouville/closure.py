@@ -170,10 +170,14 @@ def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
     basis = _descriptor_basis(support)
     if support.is_empty():
         return ClosedSubgroup(1, basis, (), (), True, "exact", Route.TRIVIAL)
-    if support.contains_interval_or_ball or support.has_accumulation_point or support.dense_directions:
-        route = Route.INTERVAL_OR_BALL if support.contains_interval_or_ball else Route.ACCUMULATION
+    if support.fills_ball or support.accumulation_points or support.directions:
+        route = Route.INTERVAL_OR_BALL if support.fills_ball else Route.ACCUMULATION
         return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), True, "exact", route)
-    scalars = support.positive_scalars_1d()
+    # the positive support values, one per +- pair, sorted and distinct
+    scalars = []
+    for x in sorted((p[0] for p in support.finite_points if p[0].sign() > 0), key=float):
+        if not scalars or not (x - scalars[-1]).is_zero():
+            scalars.append(x)
     if not scalars:
         return ClosedSubgroup(1, basis, (), (), True, "exact", Route.TRIVIAL)
     a1 = scalars[0]
@@ -191,12 +195,8 @@ def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
 
 
 def _descriptor_basis(support: SupportDescriptor) -> ConstantBasis:
-    for p in support.finite_points:
+    for p in support.finite_points + support.directions:
         return p[0].basis
-    for d in support.dense_directions:
-        return d[0].basis
-    for piece in support.affine_pieces:
-        return piece[0][0].basis
     return ConstantBasis()
 
 
@@ -227,12 +227,11 @@ def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgr
         return closure_1d(support)
     basis = _descriptor_basis(support)
     full_v = _unit_points(basis, d)
-    if support.contains_interval_or_ball or support.spheres:
+    if support.fills_ball:
         return ClosedSubgroup(d, basis, full_v, (), True, "exact", Route.INTERVAL_OR_BALL)
 
-    # V from affine pieces and dense directions, rationalized so reductions stay exact
-    v_dirs = [v for piece in support.affine_pieces for v in piece] + list(support.dense_directions)
-    splits = [scalar_direction_split(v) for v in v_dirs]
+    # V from the dense directions, rationalized so reductions stay exact
+    splits = [scalar_direction_split(v) for v in support.directions]
     if None in splits:
         return _probe_closure(basis, support, probe_config)
     v_span = _rational_span_basis([w for _, w in splits])
@@ -605,12 +604,8 @@ def _validate_certificate(cert: HyperplaneCertificate, support: SupportDescripto
                 f"certificate fails at {format_point(x)}: pairing {val} not an integer "
                 f"multiple of {period}"
             )
-    for piece_basis in support.affine_pieces:
-        for v in piece_basis:
-            if not er_dot(cert.normal, v).is_zero():
-                raise ClosureError("certificate fails: affine piece not inside H")
-    for dirv in support.dense_directions:
-        if not er_dot(cert.normal, dirv).is_zero():
+    for v in support.directions:
+        if not er_dot(cert.normal, v).is_zero():
             raise ClosureError("certificate fails: dense direction not inside H")
 
 
@@ -648,11 +643,9 @@ def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
 
     atom_items = [(a.point, a.weight) for a in mu.atoms]
     for seq in mu.sequences:
-        for n in range(1, seq.truncation + 1):
-            p = seq.point(n)
-            w = basis.from_rational(seq.weight(n))
-            atom_items.append((p, w))
-            atom_items.append((tuple(-c for c in p), w))
+        for p, w in seq.terms:
+            w = basis.from_rational(w)
+            atom_items += [(p, w), (negate_point(p), w)]
     for part in mu.continuous:
         if not isinstance(part, AffinePart):
             raise DecompositionError(

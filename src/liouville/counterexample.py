@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import mpmath
 
 from .closure import HyperplaneCertificate, er_dot
-from .exactreal import format_coordinate
+from .exactreal import floor_split, format_coordinate
 from .measures import Point
 
 
@@ -55,17 +52,8 @@ class Counterexample:
 
     def coset_coordinate(self, x: Point) -> tuple[int, float]:
         """(k, t) with <n,x>/<n,c> = k + t, k integer, t in [0,1), t reduced exactly."""
-        n, c = self.certificate.normal, self.certificate.c
-        s = er_dot(n, x)
-        p = er_dot(n, c)
-        basis = s.basis
-        with mpmath.workdps(basis.dps + 10):
-            ratio = s.mpf() / p.mpf()
-            k = int(mpmath.floor(ratio))
-        rem = s - p.scale(Fraction(k))
-        with mpmath.workdps(basis.dps + 10):
-            t = float(rem.mpf() / p.mpf())
-        return k, t
+        n = self.certificate.normal
+        return floor_split(er_dot(n, x), er_dot(n, self.certificate.c))
 
     def value_exact(self, x: Point) -> float:
         """Value at a point with exact coordinates; coset-shift invariant."""

@@ -99,7 +99,7 @@ def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
             # a dense line: name the 1-d density argument and its witness
             if cl.route is Route.IRRATIONAL_PAIR:
                 witness = {"pair": cl.witness}
-            elif cl.route is Route.ACCUMULATION and desc.has_accumulation_point:
+            elif cl.route is Route.ACCUMULATION and desc.accumulation_points:
                 witness = {"accumulation_points": desc.accumulation_points}
             elif cl.route is Route.ACCUMULATION:
                 seq = next(s for s in mu.sequences if s.q_certification()[0] == "unbounded")

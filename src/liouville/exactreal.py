@@ -236,6 +236,17 @@ class ExtendedRational:
         return f"ExtendedRational({format_coordinate(self)!r})"
 
 
+def floor_split(s: ExtendedRational, p: ExtendedRational) -> tuple[int, float]:
+    """(k, t) with s/p = k + t, k an integer and t in [0, 1).
+
+    k is floor(s/p) at the basis working precision; the remainder s - k*p is
+    exact, so s and s + j*p give the same t for every integer j.
+    """
+    with mpmath.workdps(s.basis.dps + 10):
+        k = int(mpmath.floor(s.mpf() / p.mpf()))
+        return k, float((s - p.scale(k)).mpf() / p.mpf())
+
+
 # -- coordinate strings -------------------------------------------------------
 
 _TERM = re.compile(

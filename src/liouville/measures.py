@@ -8,8 +8,11 @@ symbolically instead of sampled.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 import yaml
@@ -193,8 +196,24 @@ def _parse_fraction(v, what) -> Fraction:
 # -- sequence templates -----------------------------------------------------------
 
 
+class _Template:
+    """Points scalar(n) * direction with weights w_n, n = 1..truncation."""
+
+    def weight(self, n: int) -> Fraction:
+        return self.weights.weight(n)
+
+    def point(self, n: int) -> Point:
+        s = self.scalar(n)
+        return tuple(c.scale(s) for c in self.direction)
+
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[Point, Fraction], ...]:
+        """(point(n), weight(n)) for n = 1..truncation, expanded once per sequence."""
+        return tuple((self.point(n), self.weight(n)) for n in range(1, self.truncation + 1))
+
+
 @dataclass(frozen=True)
-class PolyRatioSequence:
+class PolyRatioSequence(_Template):
     """Scalar points P(n)/Q(n) along a fixed direction, n = 1..truncation."""
 
     num: tuple[Fraction, ...]
@@ -208,13 +227,6 @@ class PolyRatioSequence:
 
     def scalar(self, n: int) -> Fraction:
         return _poly_eval(self.num, n) / _poly_eval(self.den, n)
-
-    def weight(self, n: int) -> Fraction:
-        return self.weights.weight(n)
-
-    def point(self, n: int) -> Point:
-        s = self.scalar(n)
-        return tuple(c.scale(s) for c in self.direction)
 
     def decay_order(self) -> int:
         """deg(den) - deg(num); positive means points decay to 0."""
@@ -315,7 +327,7 @@ class PolyRatioSequence:
 
 
 @dataclass(frozen=True)
-class GeometricSequence:
+class GeometricSequence(_Template):
     """Scalar points c*r^n, 0 < r < 1, accumulating at 0."""
 
     c: Fraction
@@ -329,13 +341,6 @@ class GeometricSequence:
 
     def scalar(self, n: int) -> Fraction:
         return self.c * self.ratio**n
-
-    def weight(self, n: int) -> Fraction:
-        return self.weights.weight(n)
-
-    def point(self, n: int) -> Point:
-        s = self.scalar(n)
-        return tuple(x.scale(s) for x in self.direction)
 
     def accumulation_scalar(self) -> Fraction:
         return Fraction(0)
@@ -369,13 +374,17 @@ AnySequence = PolyRatioSequence | GeometricSequence
 
 
 # -- continuous parts --------------------------------------------------------------
+#
+# The dataclass fields of a part are its spec fields, with the spec defaults.
+# Every kind but AffinePart contains an interval, a ball or a sphere in its
+# support, so it generates all of R^d.
 
 
 @dataclass(frozen=True)
 class FractionalPart:
     """Density c_{d,alpha} |z|^{-d-alpha}: the fractional Laplacian measure."""
 
-    alpha: float
+    alpha: float = 1.0
 
     kind = "fractional"
 
@@ -388,8 +397,8 @@ class FractionalPart:
 class RelativisticPart:
     """Bessel-type density of m^alpha I - (m^2 I - Laplacian)^{alpha/2}."""
 
-    alpha: float
-    m: float
+    alpha: float = 1.0
+    m: float = 1.0
     coefficient: float = 1.0
 
     kind = "relativistic"
@@ -405,7 +414,7 @@ class RelativisticPart:
 class ConvolutionPart:
     """Bounded radial density J >= 0 with J(z)=J(-z): operator J*u - u."""
 
-    profile: str
+    profile: str = "gaussian"
     scale: float = 1.0
 
     kind = "convolution"
@@ -434,14 +443,37 @@ class SphereSurfacePart:
 
 @dataclass(frozen=True)
 class AffinePart:
-    """Radial profile supported on a proper subspace through the origin."""
+    """Radial profile supported on a proper subspace through the origin.
+
+    Its spec nests the profile fields: {basis, profile: {kind, alpha, scale}}.
+    """
 
     basis: tuple[Point, ...]
-    profile_kind: str  # "fractional" | "gaussian"
+    profile_kind: str = "fractional"  # "fractional" | "gaussian"
     alpha: float = 1.0
     scale: float = 1.0
 
     kind = "affine_supported"
+
+    @classmethod
+    def from_spec(cls, entry, what, point) -> "AffinePart":
+        raw = entry.get("basis")
+        if not isinstance(raw, list) or not raw:
+            raise MeasureSpecError("affine part needs a 'basis' list")
+        profile = entry.get("profile") or {}
+        return cls(
+            basis=tuple(point(v, f"{what}.basis") for v in raw),
+            profile_kind=profile.get("kind", "fractional"),
+            alpha=float(profile.get("alpha", 1.0)),
+            scale=float(profile.get("scale", 1.0)),
+        )
+
+    def spec(self) -> dict:
+        return {
+            "kind": self.kind,
+            "basis": [[format_coordinate(c) for c in v] for v in self.basis],
+            "profile": {"kind": self.profile_kind, "alpha": self.alpha, "scale": self.scale},
+        }
 
     def validate(self, dimension):
         if not self.basis:
@@ -469,6 +501,7 @@ class AffinePart:
 
 
 AnyContinuous = FractionalPart | RelativisticPart | ConvolutionPart | SphereSurfacePart | AffinePart
+_CONTINUOUS = {cls.kind: cls for cls in typing.get_args(AnyContinuous)}
 
 
 # -- atoms and the measure ----------------------------------------------------------
@@ -498,44 +531,33 @@ class LevyMeasure:
 
 @dataclass(frozen=True)
 class SupportDescriptor:
-    """What the decision theory needs to know about supp(mu)."""
+    """What the decision theory needs to know about supp(mu).
+
+    `fills_ball`: some part contains an interval, a ball or a sphere.
+    `directions` span a subspace that the support fills densely: the affine
+    basis vectors first, then the directions of the sequences.
+    """
 
     dimension: int
     finite_points: tuple[Point, ...]
-    has_accumulation_point: bool = False
     accumulation_points: tuple[Point, ...] = ()
-    contains_interval_or_ball: bool = False
-    spheres: tuple[float, ...] = ()
-    affine_pieces: tuple[tuple[Point, ...], ...] = ()  # one basis per subspace part
-    dense_directions: tuple[Point, ...] = ()
+    fills_ball: bool = False
+    directions: tuple[Point, ...] = ()
 
     def is_empty(self) -> bool:
-        return not (
-            self.finite_points
-            or self.has_accumulation_point
-            or self.contains_interval_or_ball
-            or self.spheres
-            or self.affine_pieces
-            or self.dense_directions
-        )
-
-    def positive_scalars_1d(self):
-        """Sorted positive support values for d = 1 (one per +- pair)."""
-        assert self.dimension == 1
-        vals = []
-        for p in self.finite_points:
-            x = p[0]
-            if x.sign() > 0:
-                vals.append(x)
-        vals.sort(key=float)
-        out = []
-        for v in vals:
-            if not out or not (v - out[-1]).is_zero():
-                out.append(v)
-        return out
+        return not (self.finite_points or self.accumulation_points or self.fills_ball or self.directions)
 
 
 # -- validation ------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _prefixed(what: str):
+    """Report a MeasureSpecError raised in the block as `what: message`."""
+    try:
+        yield
+    except MeasureSpecError as exc:
+        raise MeasureSpecError(f"{what}: {exc}") from exc
 
 
 def validate_measure(mu: LevyMeasure) -> LevyMeasure:
@@ -571,15 +593,16 @@ def validate_measure(mu: LevyMeasure) -> LevyMeasure:
         Atom(p, w) for p, w in sorted(completed.items(), key=lambda kv: _point_key(kv[0]))
     )
 
-    for seq in mu.sequences:
-        if len(seq.direction) != mu.dimension:
-            raise MeasureSpecError("sequence direction has wrong dimension")
-        seq.validate()
-        for n in range(1, min(seq.truncation, 64) + 1):
-            if seq.scalar(n) == 0:
-                raise MeasureSpecError(f"sequence generates a zero point at n={n}")
-    for part in mu.continuous:
-        part.validate(mu.dimension)
+    # validate() rules out zero points: a poly_ratio numerator has no root n >= 1,
+    # and a geometric coefficient is nonzero
+    for i, seq in enumerate(mu.sequences):
+        with _prefixed(f"sequences[{i}]"):
+            if len(seq.direction) != mu.dimension:
+                raise MeasureSpecError("sequence direction has wrong dimension")
+            seq.validate()
+    for i, part in enumerate(mu.continuous):
+        with _prefixed(f"continuous[{i}]"):
+            part.validate(mu.dimension)
 
     return LevyMeasure(
         dimension=mu.dimension,
@@ -600,53 +623,23 @@ def _point_key(p: Point):
 
 def support_of(mu: LevyMeasure) -> SupportDescriptor:
     """Exactly deduplicated support data: points, accumulation, flags."""
-    points: list[Point] = []
-    seen = set()
-
-    def add(p: Point):
-        if p not in seen and not point_is_zero(p):
-            seen.add(p)
-            points.append(p)
-
-    for atom in mu.atoms:
-        add(atom.point)
-    acc_points: list[Point] = []
-    dense_dirs: list[Point] = []
-    has_acc = False
+    points = dict.fromkeys(atom.point for atom in mu.atoms)
+    acc_points: dict[Point, None] = {}
+    directions = [v for part in mu.continuous if isinstance(part, AffinePart) for v in part.basis]
     for seq in mu.sequences:
-        for n in range(1, seq.truncation + 1):
-            p = seq.point(n)
-            add(p)
-            add(negate_point(p))
+        for p, _ in seq.terms:
+            points.update({p: None, negate_point(p): None})
         acc = seq.accumulation_scalar()
         if acc is not None:
-            has_acc = True
             loc = tuple(c.scale(acc) for c in seq.direction)
-            for q in (loc, negate_point(loc)):
-                if q not in acc_points:
-                    acc_points.append(q)
-            dense_dirs.append(seq.direction)
-
-    interval = False
-    spheres: list[float] = []
-    affine: list[tuple[Point, ...]] = []
-    for part in mu.continuous:
-        if isinstance(part, (FractionalPart, RelativisticPart, ConvolutionPart)):
-            interval = True
-        elif isinstance(part, SphereSurfacePart):
-            spheres.append(part.radius)
-        elif isinstance(part, AffinePart):
-            affine.append(part.basis)
-
+            acc_points.update({loc: None, negate_point(loc): None})
+            directions.append(seq.direction)
     return SupportDescriptor(
         dimension=mu.dimension,
-        finite_points=tuple(points),
-        has_accumulation_point=has_acc,
+        finite_points=tuple(p for p in points if not point_is_zero(p)),
         accumulation_points=tuple(acc_points),
-        contains_interval_or_ball=interval,
-        spheres=tuple(spheres),
-        affine_pieces=tuple(affine),
-        dense_directions=tuple(dense_dirs),
+        fills_ball=any(not isinstance(part, AffinePart) for part in mu.continuous),
+        directions=tuple(directions),
     )
 
 
@@ -658,7 +651,7 @@ def group_support(mu: LevyMeasure) -> SupportDescriptor:
     steps alone show neither.  Every closure of the generated group reads this.
     """
     desc = support_of(mu)
-    points, directions = list(desc.finite_points), list(desc.dense_directions)
+    points, directions = list(desc.finite_points), list(desc.directions)
     for seq in mu.sequences:
         kind, payload = seq.q_certification()
         if kind == "unbounded":
@@ -667,7 +660,7 @@ def group_support(mu: LevyMeasure) -> SupportDescriptor:
             p = tuple(c.scale(payload) for c in seq.direction)
             if p not in points:
                 points.append(p)
-    return replace(desc, finite_points=tuple(points), dense_directions=tuple(directions))
+    return replace(desc, finite_points=tuple(points), directions=tuple(directions))
 
 
 @dataclass(frozen=True)
@@ -771,7 +764,7 @@ def parse_measure(text: str, symmetry_override: str | None = None) -> LevyMeasur
 
     continuous = []
     for i, entry in enumerate(doc.get("continuous") or []):
-        continuous.append(_parse_continuous(entry, dimension, f"continuous[{i}]", point))
+        continuous.append(_parse_continuous(entry, f"continuous[{i}]", point))
 
     mu = LevyMeasure(
         dimension=dimension,
@@ -809,15 +802,15 @@ def _parse_sequence(entry, basis, dimension, what, coord, point):
     acc_raw = entry.get("accumulation")
     declared = None if acc_raw is None else _parse_fraction(acc_raw, f"{what}.accumulation")
 
-    try:
+    with _prefixed(what):
         if template == "poly_ratio":
             num = tuple(_parse_fraction(c, f"{what}.numerator") for c in entry.get("numerator", []))
             den = tuple(
                 _parse_fraction(c, f"{what}.denominator") for c in entry.get("denominator", [])
             )
-            seq = PolyRatioSequence(num, den, weights, truncation, direction, declared)
-        elif template == "geometric":
-            seq = GeometricSequence(
+            return PolyRatioSequence(num, den, weights, truncation, direction, declared)
+        if template == "geometric":
+            return GeometricSequence(
                 c=_parse_fraction(entry.get("coefficient", "1"), f"{what}.coefficient"),
                 ratio=_parse_fraction(entry.get("ratio", "1/2"), f"{what}.ratio"),
                 weights=weights,
@@ -825,51 +818,24 @@ def _parse_sequence(entry, basis, dimension, what, coord, point):
                 direction=direction,
                 declared_accumulation=declared,
             )
-        else:
-            raise MeasureSpecError(f"{what}: unknown template {template!r}")
-        seq.validate()
-    except MeasureSpecError as exc:
-        raise MeasureSpecError(f"{what}: {exc}") from exc
-    return seq
+        raise MeasureSpecError(f"unknown template {template!r}")
 
 
-def _parse_continuous(entry, dimension, what, point):
+def _parse_continuous(entry, what, point):
+    """A part from its spec fields; an omitted field takes its dataclass default."""
     if not isinstance(entry, dict) or "kind" not in entry:
         raise MeasureSpecError(f"{what} needs a 'kind'")
-    kind = entry["kind"]
-    try:
-        if kind == "fractional":
-            part = FractionalPart(alpha=float(entry.get("alpha", 1.0)))
-        elif kind == "relativistic":
-            part = RelativisticPart(
-                alpha=float(entry.get("alpha", 1.0)),
-                m=float(entry.get("m", 1.0)),
-                coefficient=float(entry.get("coefficient", 1.0)),
-            )
-        elif kind == "convolution":
-            part = ConvolutionPart(
-                profile=entry.get("profile", "gaussian"), scale=float(entry.get("scale", 1.0))
-            )
-        elif kind == "surface_sphere":
-            part = SphereSurfacePart(radius=float(entry.get("radius", 1.0)))
-        elif kind == "affine_supported":
-            raw = entry.get("basis")
-            if not isinstance(raw, list) or not raw:
-                raise MeasureSpecError("affine part needs a 'basis' list")
-            bas = tuple(point(v, f"{what}.basis") for v in raw)
-            profile = entry.get("profile") or {}
-            part = AffinePart(
-                basis=bas,
-                profile_kind=profile.get("kind", "fractional"),
-                alpha=float(profile.get("alpha", 1.0)),
-                scale=float(profile.get("scale", 1.0)),
-            )
-        else:
-            raise MeasureSpecError(f"unknown continuous kind {kind!r}")
-        part.validate(dimension)
-    except MeasureSpecError as exc:
-        raise MeasureSpecError(f"{what}: {exc}") from exc
-    return part
+    cls = _CONTINUOUS.get(str(entry["kind"]))
+    with _prefixed(what):
+        if cls is None:
+            raise MeasureSpecError(f"unknown continuous kind {entry['kind']!r}")
+        if cls is AffinePart:
+            return AffinePart.from_spec(entry, what, point)
+        return cls(**{
+            f.name: float(entry[f.name]) if isinstance(f.default, float) else entry[f.name]
+            for f in fields(cls)
+            if f.name in entry
+        })
 
 
 # -- serialization ------------------------------------------------------------------
@@ -914,25 +880,8 @@ def serialize_measure(mu: LevyMeasure) -> str:
             out.append(e)
         doc["sequences"] = out
     if mu.continuous:
-        out = []
-        for p in mu.continuous:
-            if isinstance(p, FractionalPart):
-                out.append({"kind": "fractional", "alpha": p.alpha})
-            elif isinstance(p, RelativisticPart):
-                out.append(
-                    {"kind": "relativistic", "alpha": p.alpha, "m": p.m, "coefficient": p.coefficient}
-                )
-            elif isinstance(p, ConvolutionPart):
-                out.append({"kind": "convolution", "profile": p.profile, "scale": p.scale})
-            elif isinstance(p, SphereSurfacePart):
-                out.append({"kind": "surface_sphere", "radius": p.radius})
-            elif isinstance(p, AffinePart):
-                out.append(
-                    {
-                        "kind": "affine_supported",
-                        "basis": [[format_coordinate(c) for c in v] for v in p.basis],
-                        "profile": {"kind": p.profile_kind, "alpha": p.alpha, "scale": p.scale},
-                    }
-                )
-        doc["continuous"] = out
+        doc["continuous"] = [
+            p.spec() if isinstance(p, AffinePart) else {"kind": p.kind, **asdict(p)}
+            for p in mu.continuous
+        ]
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)

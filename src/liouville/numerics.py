@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special
 
-from .exactreal import ConstantBasis, ExtendedRational, basis_floats
+from .exactreal import ConstantBasis, ExtendedRational, basis_floats, floor_split
 from .measures import (
     AffinePart,
     AnyContinuous,
@@ -130,16 +130,11 @@ def _cos2pi_exact(x):
     Integer shifts of an exact point reproduce the same reduced argument, so
     differences across lattice translates vanish exactly in floating point.
     """
-    import mpmath
-
     t = x[0]
     if t.is_rational():
         frac = t.as_rational() % 1
         return math.cos(2.0 * math.pi * float(frac))
-    with mpmath.workdps(t.basis.dps + 10):
-        k = int(mpmath.floor(t.mpf()))
-    rem = t - t.basis.from_rational(k)
-    return math.cos(2.0 * math.pi * float(rem.mpf()))
+    return math.cos(2.0 * math.pi * floor_split(t, t.basis.one())[1])
 
 
 # -- radial kernels ---------------------------------------------------------------
@@ -428,8 +423,8 @@ def _float_term(weight: float, step, r0: float):
 def _sequence_terms(seq, N: int, r0: float):
     """Float terms of the points +-seq.point(n), n = 1..N, in summation order."""
     terms = []
-    for n in range(1, N + 1):
-        w, pv = float(seq.weight(n)), np.array([float(c) for c in seq.point(n)])
+    for p, w in seq.terms[:N]:
+        w, pv = float(w), np.array([float(c) for c in p])
         terms += [_float_term(w, sgn * pv, r0) for sgn in (1.0, -1.0)]
     return terms
 

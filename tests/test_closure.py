@@ -59,13 +59,15 @@ class TestClosure1d:
         assert rational_ratio(a, b) is None
 
     def test_accumulation_dense(self, plain_basis):
+        # accumulation points alone, with no directions, still make the line dense
         d = SupportDescriptor(
             dimension=1,
             finite_points=((er(plain_basis, 1),),),
-            has_accumulation_point=True,
             accumulation_points=((er(plain_basis, 0),),),
         )
-        assert closure_1d(d).is_full()
+        cl = closure_1d(d)
+        assert cl.is_full()
+        assert cl.route == "accumulation"
 
     def test_empty_support_trivial(self, plain_basis):
         cl = closure_1d(SupportDescriptor(dimension=1, finite_points=()))

@@ -12,6 +12,7 @@ from liouville.exactreal import (
     NotRepresentableError,
     WitnessCapError,
     density_witness,
+    floor_split,
     format_coordinate,
     parse_coordinate,
     q_of,
@@ -78,6 +79,23 @@ class TestArithmetic:
         assert (x + y).coords[0] == a + b
         assert (x - y).coords[0] == a - b
         assert x.scale(c).coords[0] == a * c
+
+
+class TestFloorSplit:
+    def test_floor_and_fraction(self, pi_basis):
+        s, p = er(pi_basis, 1, 5), er(pi_basis, 0, Fraction(1, 3))  # 1 + 5 pi, pi/3
+        k, t = floor_split(s, p)
+        assert k == math.floor((1 + 5 * math.pi) / (math.pi / 3)) == 15
+        assert t == pytest.approx((1 + 5 * math.pi) / (math.pi / 3) - 15, abs=1e-12)
+        assert 0 <= t < 1
+
+    # at j = 10**50 the quotient keeps only ~10 fractional digits at the working
+    # precision, so only an exact remainder s - k*p gives t back bit for bit
+    @pytest.mark.parametrize("j", [-1000, -7, -1, 1, 3, 10**6, 10**50])
+    def test_shift_by_period_keeps_the_fraction_bit_for_bit(self, pi_basis, j):
+        s, p = er(pi_basis, 1, 5), er(pi_basis, 0, Fraction(1, 3))
+        k, t = floor_split(s, p)
+        assert floor_split(s + p.scale(j), p) == (k + j, t)
 
 
 class TestRationalRatio:

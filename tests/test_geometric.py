@@ -12,6 +12,7 @@ import pytest
 from liouville.closure import decompose_measure
 from liouville.decider import decide
 from liouville.measures import GeometricSequence, MeasureSpecError, parse_measure
+from liouville import numerics
 from liouville.numerics import OperatorEvaluator, builtin_function, eval_operator
 
 LINE = """\
@@ -115,18 +116,25 @@ def test_verify_matches_the_series_within_the_tail_bound(truncation):
 def test_verify_converts_the_sequence_once_per_evaluator(monkeypatch):
     mu = parse_measure(LINE)
     u = builtin_function("cos", 1)
-    calls = []
+    calls, conversions = [], []
     point = GeometricSequence.point
     monkeypatch.setattr(GeometricSequence, "point", lambda self, n: calls.append(n) or point(self, n))
+    convert = numerics._sequence_terms
+    monkeypatch.setattr(
+        numerics, "_sequence_terms", lambda seq, N, r0: conversions.append(N) or convert(seq, N, r0)
+    )
     ev = OperatorEvaluator(measure=mu)
     xs = (0.0, 0.4, -1.3)
     shared = [eval_operator(ev, u, (x,)) for x in xs]
     assert calls == list(range(1, 13))
+    assert conversions == [12]
     fresh = [eval_operator(OperatorEvaluator(measure=mu), u, (x,)) for x in xs]
     assert shared == fresh
-    # another truncation is another series, converted on its own
-    calls.clear()
+    assert conversions == [12] * 4
+    # another truncation is another float series, cut from the same exact terms:
+    # each point is expanded once per sequence, whatever the evaluator
     ev5 = OperatorEvaluator(measure=mu, truncation=5)
     for x in xs:
         eval_operator(ev5, u, (x,))
-    assert calls == list(range(1, 6))
+    assert conversions == [12] * 4 + [5]
+    assert calls == list(range(1, 13))

@@ -7,10 +7,13 @@ import pytest
 import yaml
 
 from liouville import measures
+from liouville.decider import decide
 from liouville.measures import (
+    FractionalPart,
     GeometricSequence,
     MeasureSpecError,
     PolyRatioSequence,
+    SphereSurfacePart,
     WeightRule,
     lebesgue_split,
     parse_measure,
@@ -168,12 +171,16 @@ class TestRoundTrip:
 class TestSupport:
     def test_fractional_contains_ball(self):
         desc = support_of(load("fractional.yaml"))
-        assert desc.contains_interval_or_ball
+        assert desc.fills_ball
+        assert desc.directions == ()
 
     def test_reciprocal_accumulates_at_zero(self):
-        desc = support_of(load("reciprocal_sequence.yaml"))
-        assert desc.has_accumulation_point
+        mu = load("reciprocal_sequence.yaml")
+        desc = support_of(mu)
+        assert desc.accumulation_points
         assert any(all(c.is_zero() for c in p) for p in desc.accumulation_points)
+        assert desc.directions == (mu.sequences[0].direction,)
+        assert not desc.fills_ball
         assert len(desc.finite_points) == 200
 
     def test_duplicates_removed(self):
@@ -194,6 +201,108 @@ class TestSupport:
             )
         )
         assert set(implicit.finite_points) == set(explicit.finite_points)
+
+
+# every continuous kind and profile, each field away from its default:
+# (spec, dimension, kind, expected part fields, fills a ball)
+AFFINE_BASIS = '["1", "1"]'
+CONTINUOUS_CASES = [
+    pytest.param(
+        "{kind: fractional, alpha: 0.3}", 1, "fractional", {"alpha": 0.3}, True, id="fractional",
+    ),
+    pytest.param(
+        "{kind: relativistic, alpha: 1.5, m: 2.0, coefficient: 0.5}", 1, "relativistic",
+        {"alpha": 1.5, "m": 2.0, "coefficient": 0.5}, True, id="relativistic",
+    ),
+    pytest.param(
+        "{kind: convolution, profile: gaussian, scale: 0.5}", 1, "convolution",
+        {"profile": "gaussian", "scale": 0.5}, True, id="convolution-gaussian",
+    ),
+    pytest.param(
+        "{kind: convolution, profile: exponential, scale: 2.0}", 1, "convolution",
+        {"profile": "exponential", "scale": 2.0}, True, id="convolution-exponential",
+    ),
+    pytest.param(
+        "{kind: convolution, profile: ball_indicator, scale: 0.25}", 2, "convolution",
+        {"profile": "ball_indicator", "scale": 0.25}, True, id="convolution-ball_indicator",
+    ),
+    pytest.param(
+        "{kind: surface_sphere, radius: 2.5}", 2, "surface_sphere", {"radius": 2.5}, True,
+        id="surface_sphere",
+    ),
+    pytest.param(
+        f"{{kind: affine_supported, basis: [{AFFINE_BASIS}], profile: {{kind: fractional, alpha: 0.7}}}}",
+        2, "affine_supported", {"profile_kind": "fractional", "alpha": 0.7, "scale": 1.0}, False,
+        id="affine-fractional",
+    ),
+    pytest.param(
+        f"{{kind: affine_supported, basis: [{AFFINE_BASIS}], profile: {{kind: gaussian, scale: 0.4}}}}",
+        2, "affine_supported", {"profile_kind": "gaussian", "alpha": 1.0, "scale": 0.4}, False,
+        id="affine-gaussian",
+    ),
+]
+
+
+def parse_part(spec, dimension):
+    return parse_measure(f"dimension: {dimension}\ncontinuous:\n  - {spec}\n")
+
+
+class TestContinuousKinds:
+    @pytest.mark.parametrize("spec, dimension, kind, expected, fills_ball", CONTINUOUS_CASES)
+    def test_generic_parser(self, spec, dimension, kind, expected, fills_ball):
+        mu = parse_part(spec, dimension)
+        (part,) = mu.continuous
+        assert part.kind == kind
+        assert {k: getattr(part, k) for k in expected} == expected
+        assert parse_measure(serialize_measure(mu)) == mu
+        desc = support_of(mu)
+        assert desc.fills_ball is fills_ball
+        verdict = decide(mu)
+        if fills_ball:
+            assert desc.directions == ()
+            assert (verdict.holds, verdict.route) == (True, "interval_or_ball")
+        else:
+            assert [[float(c) for c in v] for v in desc.directions] == [[1.0, 1.0]]
+            # the line R(1,1) alone: bounded solutions cos 2 pi <n, x> with n orthogonal to it
+            assert (verdict.holds, verdict.route) == (False, "hyperplane")
+        assert verdict.certified
+
+    def test_parse_validates_each_part_and_sequence_once(self, monkeypatch):
+        calls = []
+        for cls in (PolyRatioSequence, FractionalPart, SphereSurfacePart):
+            check = cls.validate
+            monkeypatch.setattr(
+                cls, "validate", lambda self, *a, check=check: calls.append(type(self)) or check(self, *a)
+            )
+        parse_measure(
+            "dimension: 2\nsequences:\n  - template: poly_ratio\n"
+            '    numerator: ["1"]\n    denominator: ["0", "1"]\n'
+            '    weights: {kind: power, c: "1", s: 2}\n    truncation: 5\n'
+            '    direction: ["1", "0"]\n    accumulation: "0"\n'
+            "continuous:\n  - {kind: fractional}\n  - {kind: surface_sphere}\n"
+        )
+        assert calls == [PolyRatioSequence, FractionalPart, SphereSurfacePart]
+
+    @pytest.mark.parametrize(
+        "spec, dimension, expected",
+        [
+            ("{kind: fractional}", 1, {"alpha": 1.0}),
+            ("{kind: relativistic}", 1, {"alpha": 1.0, "m": 1.0, "coefficient": 1.0}),
+            ("{kind: convolution}", 1, {"profile": "gaussian", "scale": 1.0}),
+            ("{kind: surface_sphere}", 2, {"radius": 1.0}),
+            (
+                f"{{kind: affine_supported, basis: [{AFFINE_BASIS}]}}", 2,
+                {"profile_kind": "fractional", "alpha": 1.0, "scale": 1.0},
+            ),
+            (
+                f"{{kind: affine_supported, basis: [{AFFINE_BASIS}], profile: {{kind: gaussian}}}}", 2,
+                {"profile_kind": "gaussian", "alpha": 1.0, "scale": 1.0},
+            ),
+        ],
+    )
+    def test_omitted_fields_take_the_documented_defaults(self, spec, dimension, expected):
+        (part,) = parse_part(spec, dimension).continuous
+        assert {k: getattr(part, k) for k in expected} == expected
 
 
 class TestLebesgueSplit:
@@ -322,7 +431,8 @@ class TestNonzeroAccumulation:
         )
         mu = parse_measure(text)
         desc = support_of(mu)
-        assert desc.has_accumulation_point
+        assert desc.accumulation_points
+        assert desc.directions == (mu.sequences[0].direction,)
         locs = {float(p[0]) for p in desc.accumulation_points}
         assert locs == {2.0, -2.0}
 
