@@ -193,6 +193,14 @@ def _parse_fraction(v, what) -> Fraction:
         raise MeasureSpecError(f"bad rational for {what}: {v!r}") from exc
 
 
+def _parse_number(convert, v, what):
+    """convert(v), with convert float or int; a value it rejects is a spec error."""
+    try:
+        return convert(v)
+    except (TypeError, ValueError) as exc:
+        raise MeasureSpecError(f"bad number for {what}: {v!r}") from exc
+
+
 # -- sequence templates -----------------------------------------------------------
 
 
@@ -456,16 +464,16 @@ class AffinePart:
     kind = "affine_supported"
 
     @classmethod
-    def from_spec(cls, entry, what, point) -> "AffinePart":
+    def from_spec(cls, entry, point) -> "AffinePart":
         raw = entry.get("basis")
         if not isinstance(raw, list) or not raw:
             raise MeasureSpecError("affine part needs a 'basis' list")
         profile = entry.get("profile") or {}
         return cls(
-            basis=tuple(point(v, f"{what}.basis") for v in raw),
+            basis=tuple(point(v, "basis") for v in raw),
             profile_kind=profile.get("kind", "fractional"),
-            alpha=float(profile.get("alpha", 1.0)),
-            scale=float(profile.get("scale", 1.0)),
+            alpha=_parse_number(float, profile.get("alpha", 1.0), "profile.alpha"),
+            scale=_parse_number(float, profile.get("scale", 1.0), "profile.scale"),
         )
 
     def spec(self) -> dict:
@@ -760,7 +768,7 @@ def parse_measure(text: str, symmetry_override: str | None = None) -> LevyMeasur
 
     sequences = []
     for i, entry in enumerate(doc.get("sequences") or []):
-        sequences.append(_parse_sequence(entry, basis, dimension, f"sequences[{i}]", coord, point))
+        sequences.append(_parse_sequence(entry, basis, dimension, f"sequences[{i}]", point))
 
     continuous = []
     for i, entry in enumerate(doc.get("continuous") or []):
@@ -777,42 +785,40 @@ def parse_measure(text: str, symmetry_override: str | None = None) -> LevyMeasur
     return validate_measure(mu)
 
 
-def _parse_sequence(entry, basis, dimension, what, coord, point):
+def _parse_sequence(entry, basis, dimension, what, point):
     if not isinstance(entry, dict) or "template" not in entry:
         raise MeasureSpecError(f"{what} needs a 'template'")
-    template = entry["template"]
-    wr = entry.get("weights")
-    if not isinstance(wr, dict) or "kind" not in wr:
-        raise MeasureSpecError(f"{what}.weights needs a 'kind'")
-    weights = WeightRule(
-        kind=wr["kind"],
-        c=_parse_fraction(wr.get("c", "1"), f"{what}.weights.c"),
-        s=int(wr.get("s", 0) or 0),
-        r=_parse_fraction(wr.get("r", "0"), f"{what}.weights.r") if "r" in wr else Fraction(0),
-    )
-    truncation = entry.get("truncation")
-    if not isinstance(truncation, int) or truncation < 1:
-        raise MeasureSpecError(f"{what}.truncation must be a positive integer")
-    if "direction" in entry:
-        direction = point(entry["direction"], f"{what}.direction")
-    elif dimension == 1:
-        direction = (basis.one(),)
-    else:
-        raise MeasureSpecError(f"{what}: multi-d sequences need a 'direction'")
-    acc_raw = entry.get("accumulation")
-    declared = None if acc_raw is None else _parse_fraction(acc_raw, f"{what}.accumulation")
-
     with _prefixed(what):
+        wr = entry.get("weights")
+        if not isinstance(wr, dict) or "kind" not in wr:
+            raise MeasureSpecError("weights needs a 'kind'")
+        weights = WeightRule(
+            kind=wr["kind"],
+            c=_parse_fraction(wr.get("c", "1"), "weights.c"),
+            s=_parse_number(int, wr.get("s", 0) or 0, "weights.s"),
+            r=_parse_fraction(wr.get("r", "0"), "weights.r"),
+        )
+        truncation = entry.get("truncation")
+        if not isinstance(truncation, int) or truncation < 1:
+            raise MeasureSpecError("truncation must be a positive integer")
+        if "direction" in entry:
+            direction = point(entry["direction"], "direction")
+        elif dimension == 1:
+            direction = (basis.one(),)
+        else:
+            raise MeasureSpecError("multi-d sequences need a 'direction'")
+        acc_raw = entry.get("accumulation")
+        declared = None if acc_raw is None else _parse_fraction(acc_raw, "accumulation")
+
+        template = entry["template"]
         if template == "poly_ratio":
-            num = tuple(_parse_fraction(c, f"{what}.numerator") for c in entry.get("numerator", []))
-            den = tuple(
-                _parse_fraction(c, f"{what}.denominator") for c in entry.get("denominator", [])
-            )
+            num = tuple(_parse_fraction(c, "numerator") for c in entry.get("numerator", []))
+            den = tuple(_parse_fraction(c, "denominator") for c in entry.get("denominator", []))
             return PolyRatioSequence(num, den, weights, truncation, direction, declared)
         if template == "geometric":
             return GeometricSequence(
-                c=_parse_fraction(entry.get("coefficient", "1"), f"{what}.coefficient"),
-                ratio=_parse_fraction(entry.get("ratio", "1/2"), f"{what}.ratio"),
+                c=_parse_fraction(entry.get("coefficient", "1"), "coefficient"),
+                ratio=_parse_fraction(entry.get("ratio", "1/2"), "ratio"),
                 weights=weights,
                 truncation=truncation,
                 direction=direction,
@@ -830,9 +836,10 @@ def _parse_continuous(entry, what, point):
         if cls is None:
             raise MeasureSpecError(f"unknown continuous kind {entry['kind']!r}")
         if cls is AffinePart:
-            return AffinePart.from_spec(entry, what, point)
+            return AffinePart.from_spec(entry, point)
         return cls(**{
-            f.name: float(entry[f.name]) if isinstance(f.default, float) else entry[f.name]
+            f.name: _parse_number(float, entry[f.name], f.name)
+            if isinstance(f.default, float) else entry[f.name]
             for f in fields(cls)
             if f.name in entry
         })

@@ -74,6 +74,13 @@ atoms:
         assert code == 2
         assert "zero atom" in err
 
+    def test_unreadable_number_names_its_entry(self, tmp_path, capsys):
+        spec = tmp_path / "alpha.yaml"
+        spec.write_text("dimension: 1\ncontinuous: [{kind: fractional, alpha: abc}]\n")
+        code, out, err = run(capsys, "decide", str(spec))
+        assert (code, out) == (2, "")
+        assert err == "error: invalid measure spec: continuous[0]: bad number for alpha: 'abc'\n"
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):

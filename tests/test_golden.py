@@ -16,8 +16,11 @@ The verify files hold `liouville verify --no-timestamp --points 4 --seed 1` with
 `cos` on every bundled spec, `harmonic_xy` on `mean_value`, and three non-default
 quadrature configurations: a node count whose half does not nest in it
 (`--quad-nodes 33`), a split radius off the default (`--r0 0.37`) and a sequence
-truncation (`--truncation-N 77`).  Values and bounds are floats printed in full, so
-these files pin every float operation of the quadrature.
+truncation (`--truncation-N 77`).  Three more cover the point buffers of full-dimensional
+kernels in d >= 2: `tests/golden/fractional_2d.yaml` (alpha = 1.5, `--points 1`),
+`tests/golden/convolution_3d.yaml` (gaussian profile) and `gaussian` on
+`planar_fractional`, which takes its gradient by finite differences.  Values and bounds
+are floats printed in full, so these files pin every float operation of the quadrature.
 
 Regenerate after an intended report change with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -37,6 +40,11 @@ SPEC_DIR = os.path.join(HERE, "..", "specs")
 GOLDEN_DIR = os.path.join(HERE, "golden")
 SPECS = sorted(f[:-5] for f in os.listdir(SPEC_DIR) if f.endswith(".yaml"))
 COMMANDS = ("decide", "decompose", "closure")
+
+
+def spec_path(spec: str) -> str:
+    return os.path.join(SPEC_DIR, spec + ".yaml")
+
 
 SMALL_WINDOW = ["--R", "3", "--n-max", "6", "--grid-div", "40"]
 FINITE_SPECS = (
@@ -62,15 +70,21 @@ PROPAGATE_CASES.update({
 })
 PROBE_INPUT = os.path.join(GOLDEN_DIR, "probe_products.yaml")
 PROBE_COMMANDS = ("decide", "closure")
+FRACTIONAL_2D = os.path.join(GOLDEN_DIR, "fractional_2d.yaml")
+CONVOLUTION_3D = os.path.join(GOLDEN_DIR, "convolution_3d.yaml")
 
 VERIFY_ARGS = ["--no-timestamp", "--points", "4", "--seed", "1"]
-# golden name -> (spec, verify arguments after VERIFY_ARGS)
-VERIFY_CASES = {f"{spec}.verify": (spec, []) for spec in SPECS}
+# golden name -> (input path, verify arguments after VERIFY_ARGS; a later option wins)
+VERIFY_CASES = {f"{spec}.verify": (spec_path(spec), []) for spec in SPECS}
 VERIFY_CASES.update({
-    "mean_value.verify-harmonic_xy": ("mean_value", ["--function", "harmonic_xy"]),
-    "fractional.verify-quad-nodes-33": ("fractional", ["--quad-nodes", "33"]),
-    "relativistic.verify-r0-0.37": ("relativistic", ["--r0", "0.37"]),
-    "growing_sequence.verify-truncation-N-77": ("growing_sequence", ["--truncation-N", "77"]),
+    "mean_value.verify-harmonic_xy": (spec_path("mean_value"), ["--function", "harmonic_xy"]),
+    "fractional.verify-quad-nodes-33": (spec_path("fractional"), ["--quad-nodes", "33"]),
+    "relativistic.verify-r0-0.37": (spec_path("relativistic"), ["--r0", "0.37"]),
+    "growing_sequence.verify-truncation-N-77": (
+        spec_path("growing_sequence"), ["--truncation-N", "77"]),
+    "fractional_2d.verify-points-1": (FRACTIONAL_2D, ["--points", "1"]),
+    "convolution_3d.verify": (CONVOLUTION_3D, []),
+    "planar_fractional.verify-gaussian": (spec_path("planar_fractional"), ["--function", "gaussian"]),
 })
 
 
@@ -79,10 +93,6 @@ def run(argv) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return f"exit_code: {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
-
-
-def spec_path(spec: str) -> str:
-    return os.path.join(SPEC_DIR, spec + ".yaml")
 
 
 def capture(command: str, spec: str) -> str:
@@ -95,8 +105,8 @@ def capture_propagate(name: str) -> str:
 
 
 def capture_verify(name: str) -> str:
-    spec, extra = VERIFY_CASES[name]
-    return run(["verify", spec_path(spec)] + VERIFY_ARGS + extra)
+    path, extra = VERIFY_CASES[name]
+    return run(["verify", path] + VERIFY_ARGS + extra)
 
 
 def capture_probe(command: str) -> str:
@@ -128,7 +138,8 @@ def test_every_golden_file_is_a_captured_case():
     names = {f"{spec}.{command}" for command in COMMANDS for spec in SPECS}
     names |= {f"probe_products.{command}" for command in PROBE_COMMANDS}
     names |= set(PROPAGATE_CASES) | set(VERIFY_CASES)
-    expected = {name + ".txt" for name in names} | {os.path.basename(PROBE_INPUT)}
+    inputs = (PROBE_INPUT, FRACTIONAL_2D, CONVOLUTION_3D)
+    expected = {name + ".txt" for name in names} | {os.path.basename(p) for p in inputs}
     assert sorted(set(os.listdir(GOLDEN_DIR)) - expected) == []
 
 

@@ -140,6 +140,55 @@ class TestParsing:
             parse_measure("dimension: 1\ncontinuous:\n  - {kind: surface_sphere}\n")
 
 
+def _sequence_spec(**fields):
+    """A valid 2-D poly_ratio sequence spec with the given fields replaced."""
+    entry = {
+        "template": "poly_ratio", "numerator": ["1"], "denominator": ["0", "1"],
+        "weights": {"kind": "power", "c": "1", "s": 2}, "truncation": 5, "direction": ["1", "0"],
+    }
+    return yaml.safe_dump({"dimension": 2, "sequences": [{**entry, **fields}]})
+
+
+def _part_spec(dimension, **part):
+    return yaml.safe_dump({"dimension": dimension, "continuous": [part]})
+
+
+# Each fault is reported once, prefixed by the entry that holds it; the inner
+# message names only the field.
+ERROR_LOCATIONS = {
+    "fractional alpha": (
+        _part_spec(1, kind="fractional", alpha="abc"), "continuous[0]: bad number for alpha: 'abc'"),
+    "relativistic mass": (
+        _part_spec(1, kind="relativistic", m=[1]), "continuous[0]: bad number for m: [1]"),
+    "affine alpha": (
+        _part_spec(2, kind="affine_supported", basis=[["1", "0"]], profile={"alpha": "x"}),
+        "continuous[0]: bad number for profile.alpha: 'x'"),
+    "affine basis": (
+        _part_spec(2, kind="affine_supported", basis=[["1"]]),
+        "continuous[0]: basis must be an array of 2 coordinates"),
+    "weight coefficient": (
+        _sequence_spec(weights={"kind": "power", "c": "-1", "s": 2}),
+        "sequences[0]: weight coefficient must be positive"),
+    "weight exponent": (
+        _sequence_spec(weights={"kind": "power", "c": "1", "s": "x"}),
+        "sequences[0]: bad number for weights.s: 'x'"),
+    "weight ratio": (
+        _sequence_spec(weights={"kind": "geometric", "r": "x"}),
+        "sequences[0]: bad rational for weights.r: 'x'"),
+    "numerator": (_sequence_spec(numerator=["x"]), "sequences[0]: bad rational for numerator: 'x'"),
+    "truncation": (_sequence_spec(truncation=0), "sequences[0]: truncation must be a positive integer"),
+    "direction": (
+        _sequence_spec(direction=["1"]), "sequences[0]: direction must be an array of 2 coordinates"),
+}
+
+
+@pytest.mark.parametrize("spec, message", ERROR_LOCATIONS.values(), ids=ERROR_LOCATIONS)
+def test_spec_errors_name_their_entry_once(spec, message):
+    with pytest.raises(MeasureSpecError) as exc:
+        parse_measure(spec)
+    assert str(exc.value) == message
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SPEC_DIR, "*.yaml"))) + [PROBE_INPUT])
 def test_libyaml_and_python_loaders_give_equal_documents(path):

@@ -468,3 +468,61 @@ class TestReusePerEvaluator:
         for x in ((0.0,), (1.0,)):
             with pytest.raises(ValueError, match="not declared bounded"):
                 eval_operator(ev, u, x)
+
+
+def _per_direction_radial(ev, plan, u, x):
+    """The radial quadrature with one C-ordered (m, d) point buffer per direction over
+    every radius of a zone: the evaluation order before blocking, kept as an oracle."""
+    ux = float(numerics._value(u, x))
+    g = numerics._grad(u, x)
+    r_s = min(numerics.R_SWITCH, ev.r0)
+    sum_dir2 = float(sum(ws * numerics._dir2(u, x, w) for w, ws in zip(plan.dirs, plan.w_sph)))
+    core = 0.5 * sum_dir2 * plan.m2
+    core_bound = plan.m2_err * abs(sum_dir2) + (
+        0.0 if u.sup_d3 == 0 else u.sup_d3 / 6.0 * r_s * plan.m2 * float(np.sum(plan.w_sph))
+    )
+
+    def integrand(radii, ker, compensated):
+        acc = np.zeros_like(radii)
+        pts = np.empty((radii.size, x.size))
+        for wdir, ws in zip(plan.dirs, plan.w_sph):
+            np.add(x, np.multiply(radii[:, None], wdir, out=pts), out=pts)
+            vals = np.asarray(numerics._value(u, pts), dtype=float)
+            if compensated:
+                acc += ws * (vals - ux - radii * float(wdir @ g))
+            else:
+                acc += ws * (vals - ux)
+        return acc * ker * radii ** (plan.kdim - 1)
+
+    i1, i2 = plan.inner.sums(integrand, True)
+    o1, o2 = plan.outer.sums(integrand, False)
+    value = core + i1 + o1
+    tail = 2.0 * u.sup_u * plan.mass_tail
+    return value, core_bound + tail + abs(i1 - i2) + abs(o1 - o2) + 1e-14 * (1 + abs(value))
+
+
+class TestBlockedRadialQuadrature:
+    """Radii are evaluated in blocks of numerics._BLOCK, every direction per block, in a
+    column-major buffer; each float is the one the per-direction loop produced."""
+
+    # one zone each, with a node count above one block and not a multiple of it
+    ZONES = {
+        "inner": dict(r0=1.0, nodes_per_decade=1100, outer_radius=1.0),  # 4,401 log nodes
+        "outer": dict(r0=numerics.R_SWITCH, outer_step=0.002, outer_radius=10.0),  # 5,001
+    }
+
+    @pytest.mark.parametrize("zone", sorted(ZONES))
+    @pytest.mark.parametrize("function", ["cos", "cos2pi", "gaussian"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_per_direction_loop_bit_for_bit(self, dim, function, zone):
+        mu = parse_measure(f"dimension: {dim}\ncontinuous:\n  - {{kind: fractional, alpha: 1.5}}\n")
+        ev = OperatorEvaluator(measure=mu, sphere_count=16, **self.ZONES[zone])
+        plan = numerics._RadialPlan(ev, mu.continuous[0])
+        active, empty = (plan.inner, plan.outer) if zone == "inner" else (plan.outer, plan.inner)
+        assert active.fine.r.size > numerics._BLOCK and active.fine.r.size % numerics._BLOCK
+        assert empty.fine.n < 2
+        u = builtin_function(function, dim)
+        for x in np.random.default_rng(dim).uniform(-2, 2, size=(2, dim)):
+            res = eval_operator(ev, u, tuple(x))
+            value, bound = _per_direction_radial(ev, plan, u, x)
+            assert (res.value.hex(), res.bound.hex()) == (value.hex(), bound.hex())
