@@ -5,14 +5,12 @@ __version__ = "0.1.0"
 from .exactreal import (
     ConstantBasis,
     ExtendedRational,
-    QValue,
     density_witness,
     parse_coordinate,
-    q_of,
     rational_gcd,
     rational_ratio,
 )
-from .measures import LevyMeasure, lebesgue_split, parse_measure, serialize_measure, support_of
+from .measures import LevyMeasure, parse_measure, support_of
 from .closure import (
     ClosedSubgroup,
     HyperplaneCertificate,
@@ -24,24 +22,20 @@ from .closure import (
     orthogonalize,
 )
 from .decider import LiouvilleVerdict, decide, decide_1d
-from .counterexample import Counterexample, build_counterexample, check_periodicity
+from .counterexample import Counterexample, build_counterexample
 # numerics imports scipy, so it loads on first access: the exact commands never need it
 _NUMERICS = ("OperatorEvaluator", "PropagationState", "density_probe", "propagate")
 
 __all__ = [
     "ConstantBasis",
     "ExtendedRational",
-    "QValue",
     "density_witness",
     "parse_coordinate",
-    "q_of",
     "rational_gcd",
     "rational_ratio",
     "LevyMeasure",
     "parse_measure",
-    "serialize_measure",
     "support_of",
-    "lebesgue_split",
     "ClosedSubgroup",
     "HyperplaneCertificate",
     "closure_1d",
@@ -55,7 +49,6 @@ __all__ = [
     "decide_1d",
     "Counterexample",
     "build_counterexample",
-    "check_periodicity",
     "OperatorEvaluator",
     "PropagationState",
     "propagate",

@@ -75,28 +75,6 @@ class Report:
         return d
 
 
-def parse_report(text: str) -> dict:
-    """Parse the indented report format back into a nested dict."""
-    root: dict = {}
-    stack = [(-1, root)]
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        indent = (len(line) - len(line.lstrip())) // 2
-        key, _, rest = line.strip().partition(":")
-        rest = rest.strip()
-        while stack and stack[-1][0] >= indent:
-            stack.pop()
-        parent = stack[-1][1]
-        if rest == "":
-            child: dict = {}
-            parent[key] = child
-            stack.append((indent, child))
-        else:
-            parent[key] = rest
-    return root
-
-
 def _load(path: str, args=None):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -709,11 +709,6 @@ def _coset_keys(points, group: ClosedSubgroup):
     return keys
 
 
-def _coset_coordinates(p: Point, group: ClosedSubgroup):
-    """Integer coordinates m with p - sum m_i lambda_i in span(V), or None."""
-    return _coset_keys([p], group)[0]
-
-
 def _lattice_point(group: ClosedSubgroup, key) -> Point:
     """sum_i key[i] * lambda_i, exactly."""
     pt = [group.basis.zero()] * group.dimension

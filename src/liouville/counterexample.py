@@ -88,19 +88,3 @@ def build_counterexample(cert: HyperplaneCertificate, dimension: int) -> Counter
     pstr = format_coordinate(pairing)
     form = f"cos(2*pi*<({nstr}), x>/({pstr}))"
     return Counterexample("cosine_coset", cert, form, dimension)
-
-
-def check_periodicity(u, generators, samples, tol: float) -> tuple[bool, float]:
-    """Max over samples x and generators s of |u(x+s) - u(x)|; True iff <= tol."""
-    import numpy as np
-
-    worst = 0.0
-    for x in samples:
-        xv = np.asarray(x, dtype=float)
-        ux = float(u(xv))
-        for s in generators:
-            sv = np.asarray(s, dtype=float)
-            dev = abs(float(u(xv + sv)) - ux)
-            if dev > worst:
-                worst = dev
-    return worst <= tol, worst

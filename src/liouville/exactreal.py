@@ -335,34 +335,6 @@ def rational_ratio(a: ExtendedRational, b: ExtendedRational):
     return None
 
 
-@dataclass(frozen=True)
-class QValue:
-    """Reduced-denominator measure of b/a: q when b/a = p/q, infinite otherwise."""
-
-    p: int | None
-    q: int | None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.q is None
-
-    def __str__(self):
-        return "inf" if self.is_infinite else f"(p={self.p}, q={self.q})"
-
-
-Q_INFINITE = QValue(None, None)
-
-
-def q_of(a: ExtendedRational, b: ExtendedRational) -> QValue:
-    """Q(a, b): the reduced denominator q of b/a = p/q, or infinite."""
-    if a.is_zero() or b.is_zero():
-        raise ZeroDivisionError("q_of requires nonzero a and b")
-    r = rational_ratio(a, b)
-    if r is None:
-        return Q_INFINITE
-    return QValue(r.numerator, r.denominator)
-
-
 def rational_gcd(x, y) -> Fraction:
     """Largest g > 0 with x, y in gZ, for nonnegative rationals not both zero."""
     x, y = Fraction(x), Fraction(y)

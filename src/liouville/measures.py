@@ -12,7 +12,7 @@ import contextlib
 import functools
 import math
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import yaml
@@ -20,7 +20,6 @@ import yaml
 from .exactreal import (
     ConstantBasis,
     ExtendedRational,
-    format_coordinate,
     format_point,
     parse_coordinate,
 )
@@ -194,11 +193,18 @@ def _parse_fraction(v, what) -> Fraction:
 
 
 def _parse_number(convert, v, what):
-    """convert(v), with convert float or int; a value it rejects is a spec error."""
+    """convert(str(v)) for convert float or int; what it rejects (2.5 as int) is a spec error."""
     try:
-        return convert(v)
+        return convert(str(v))
     except (TypeError, ValueError) as exc:
         raise MeasureSpecError(f"bad number for {what}: {v!r}") from exc
+
+
+def _known_keys(entry: dict, keys, prefix=""):
+    """Reject a key of a spec mapping that is not one of `keys`."""
+    for key in entry:
+        if key not in keys:
+            raise MeasureSpecError(f"unknown field {prefix + str(key)!r}")
 
 
 # -- sequence templates -----------------------------------------------------------
@@ -206,6 +212,9 @@ def _parse_number(convert, v, what):
 
 class _Template:
     """Points scalar(n) * direction with weights w_n, n = 1..truncation."""
+
+    # the spec keys of every template; each template adds those of its points
+    keys = ("template", "weights", "truncation", "direction", "accumulation")
 
     def weight(self, n: int) -> Fraction:
         return self.weights.weight(n)
@@ -232,6 +241,7 @@ class PolyRatioSequence(_Template):
     declared_accumulation: Fraction | None = None
 
     template = "poly_ratio"
+    keys = _Template.keys + ("numerator", "denominator")
 
     def scalar(self, n: int) -> Fraction:
         return _poly_eval(self.num, n) / _poly_eval(self.den, n)
@@ -346,6 +356,7 @@ class GeometricSequence(_Template):
     declared_accumulation: Fraction | None = None
 
     template = "geometric"
+    keys = _Template.keys + ("coefficient", "ratio")
 
     def scalar(self, n: int) -> Fraction:
         return self.c * self.ratio**n
@@ -379,6 +390,7 @@ class GeometricSequence(_Template):
 
 
 AnySequence = PolyRatioSequence | GeometricSequence
+_TEMPLATES = {cls.template: cls for cls in typing.get_args(AnySequence)}
 
 
 # -- continuous parts --------------------------------------------------------------
@@ -465,23 +477,18 @@ class AffinePart:
 
     @classmethod
     def from_spec(cls, entry, point) -> "AffinePart":
+        _known_keys(entry, ("kind", "basis", "profile"))
         raw = entry.get("basis")
         if not isinstance(raw, list) or not raw:
             raise MeasureSpecError("affine part needs a 'basis' list")
         profile = entry.get("profile") or {}
+        _known_keys(profile, ("kind", "alpha", "scale"), "profile.")
         return cls(
             basis=tuple(point(v, "basis") for v in raw),
             profile_kind=profile.get("kind", "fractional"),
             alpha=_parse_number(float, profile.get("alpha", 1.0), "profile.alpha"),
             scale=_parse_number(float, profile.get("scale", 1.0), "profile.scale"),
         )
-
-    def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "basis": [[format_coordinate(c) for c in v] for v in self.basis],
-            "profile": {"kind": self.profile_kind, "alpha": self.alpha, "scale": self.scale},
-        }
 
     def validate(self, dimension):
         if not self.basis:
@@ -671,41 +678,6 @@ def group_support(mu: LevyMeasure) -> SupportDescriptor:
     return replace(desc, finite_points=tuple(points), directions=tuple(directions))
 
 
-@dataclass(frozen=True)
-class LebesgueSplit:
-    absolutely_continuous: tuple[str, ...]
-    singular_diffuse: tuple[str, ...]
-    atomic: tuple[str, ...]
-
-    def summary(self):
-        return (
-            "present" if self.absolutely_continuous else "absent",
-            "present" if self.singular_diffuse else "absent",
-            "present" if self.atomic else "absent",
-        )
-
-
-def lebesgue_split(mu: LevyMeasure) -> LebesgueSplit:
-    """Which of the three Lebesgue components are present (declared kinds)."""
-    ac, sd, at = [], [], []
-    for part in mu.continuous:
-        if isinstance(part, FractionalPart):
-            ac.append(f"fractional(alpha={part.alpha})")
-        elif isinstance(part, RelativisticPart):
-            ac.append(f"relativistic(alpha={part.alpha}, m={part.m})")
-        elif isinstance(part, ConvolutionPart):
-            ac.append(f"convolution({part.profile}, scale={part.scale})")
-        elif isinstance(part, SphereSurfacePart):
-            sd.append(f"surface_sphere(radius={part.radius})")
-        elif isinstance(part, AffinePart):
-            sd.append(f"affine_supported(dim={len(part.basis)}, {part.profile_kind})")
-    if mu.atoms:
-        at.append(f"{len(mu.atoms)} atoms")
-    for seq in mu.sequences:
-        at.append(f"sequence {seq.template} (N={seq.truncation})")
-    return LebesgueSplit(tuple(ac), tuple(sd), tuple(at))
-
-
 # -- parsing ---------------------------------------------------------------------
 
 
@@ -719,10 +691,7 @@ def parse_measure(text: str, symmetry_override: str | None = None) -> LevyMeasur
         raise MeasureSpecError("measure spec must be a mapping")
     if symmetry_override is not None:
         doc = {**doc, "symmetry_mode": symmetry_override}
-    known = {"dimension", "constants", "symmetry_mode", "atoms", "sequences", "continuous"}
-    for key in doc:
-        if key not in known:
-            raise MeasureSpecError(f"unknown field {key!r}")
+    _known_keys(doc, ("dimension", "constants", "symmetry_mode", "atoms", "sequences", "continuous"))
 
     if "dimension" not in doc:
         raise MeasureSpecError("missing field 'dimension'")
@@ -764,6 +733,7 @@ def parse_measure(text: str, symmetry_override: str | None = None) -> LevyMeasur
         what = f"atoms[{i}]"
         if not isinstance(entry, dict) or "point" not in entry or "weight" not in entry:
             raise MeasureSpecError(f"{what} needs 'point' and 'weight'")
+        _known_keys(entry, [f.name for f in fields(Atom)], f"{what}.")
         atoms.append(Atom(point(entry["point"], what), coord(entry["weight"], f"{what}.weight")))
 
     sequences = []
@@ -789,9 +759,14 @@ def _parse_sequence(entry, basis, dimension, what, point):
     if not isinstance(entry, dict) or "template" not in entry:
         raise MeasureSpecError(f"{what} needs a 'template'")
     with _prefixed(what):
+        cls = _TEMPLATES.get(str(entry["template"]))
+        if cls is None:
+            raise MeasureSpecError(f"unknown template {entry['template']!r}")
+        _known_keys(entry, cls.keys)
         wr = entry.get("weights")
         if not isinstance(wr, dict) or "kind" not in wr:
             raise MeasureSpecError("weights needs a 'kind'")
+        _known_keys(wr, [f.name for f in fields(WeightRule)], "weights.")
         weights = WeightRule(
             kind=wr["kind"],
             c=_parse_fraction(wr.get("c", "1"), "weights.c"),
@@ -809,22 +784,18 @@ def _parse_sequence(entry, basis, dimension, what, point):
             raise MeasureSpecError("multi-d sequences need a 'direction'")
         acc_raw = entry.get("accumulation")
         declared = None if acc_raw is None else _parse_fraction(acc_raw, "accumulation")
-
-        template = entry["template"]
-        if template == "poly_ratio":
+        if cls is PolyRatioSequence:
             num = tuple(_parse_fraction(c, "numerator") for c in entry.get("numerator", []))
             den = tuple(_parse_fraction(c, "denominator") for c in entry.get("denominator", []))
             return PolyRatioSequence(num, den, weights, truncation, direction, declared)
-        if template == "geometric":
-            return GeometricSequence(
-                c=_parse_fraction(entry.get("coefficient", "1"), "coefficient"),
-                ratio=_parse_fraction(entry.get("ratio", "1/2"), "ratio"),
-                weights=weights,
-                truncation=truncation,
-                direction=direction,
-                declared_accumulation=declared,
-            )
-        raise MeasureSpecError(f"unknown template {template!r}")
+        return GeometricSequence(
+            c=_parse_fraction(entry.get("coefficient", "1"), "coefficient"),
+            ratio=_parse_fraction(entry.get("ratio", "1/2"), "ratio"),
+            weights=weights,
+            truncation=truncation,
+            direction=direction,
+            declared_accumulation=declared,
+        )
 
 
 def _parse_continuous(entry, what, point):
@@ -837,58 +808,10 @@ def _parse_continuous(entry, what, point):
             raise MeasureSpecError(f"unknown continuous kind {entry['kind']!r}")
         if cls is AffinePart:
             return AffinePart.from_spec(entry, point)
+        _known_keys(entry, ["kind", *(f.name for f in fields(cls))])
         return cls(**{
             f.name: _parse_number(float, entry[f.name], f.name)
             if isinstance(f.default, float) else entry[f.name]
             for f in fields(cls)
             if f.name in entry
         })
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def serialize_measure(mu: LevyMeasure) -> str:
-    """Canonical YAML round-tripping through parse_measure."""
-    doc: dict = {"dimension": mu.dimension}
-    if mu.basis.names:
-        doc["constants"] = [
-            {"name": n, "value": v} for n, v in zip(mu.basis.names, mu.basis.approximations)
-        ]
-    doc["symmetry_mode"] = mu.symmetry_mode
-    if mu.atoms:
-        doc["atoms"] = [
-            {
-                "point": [format_coordinate(c) for c in a.point],
-                "weight": format_coordinate(a.weight),
-            }
-            for a in mu.atoms
-        ]
-    if mu.sequences:
-        out = []
-        for s in mu.sequences:
-            e: dict = {"template": s.template}
-            if isinstance(s, PolyRatioSequence):
-                e["numerator"] = [str(c) for c in s.num]
-                e["denominator"] = [str(c) for c in s.den]
-            else:
-                e["coefficient"] = str(s.c)
-                e["ratio"] = str(s.ratio)
-            w = {"kind": s.weights.kind, "c": str(s.weights.c)}
-            if s.weights.kind == "power":
-                w["s"] = s.weights.s
-            if s.weights.kind == "geometric":
-                w["r"] = str(s.weights.r)
-            e["weights"] = w
-            e["truncation"] = s.truncation
-            e["direction"] = [format_coordinate(c) for c in s.direction]
-            if s.declared_accumulation is not None:
-                e["accumulation"] = str(s.declared_accumulation)
-            out.append(e)
-        doc["sequences"] = out
-    if mu.continuous:
-        doc["continuous"] = [
-            p.spec() if isinstance(p, AffinePart) else {"kind": p.kind, **asdict(p)}
-            for p in mu.continuous
-        ]
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)

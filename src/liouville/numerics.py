@@ -328,7 +328,6 @@ class OperatorEvaluator:
     outer_radius: float = 1e4
     truncation: int | None = None
     sphere_count: int = 64
-    tolerance: float | None = None  # reject evaluations whose bound exceeds this
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -409,10 +408,6 @@ def eval_operator(ev: OperatorEvaluator, u, x) -> EvalResult:
         total += v
         bound += b
 
-    if ev.tolerance is not None and bound > ev.tolerance:
-        raise ValueError(
-            f"error bound {bound:.3e} exceeds the requested tolerance {ev.tolerance:.3e}"
-        )
     return EvalResult(value=total, bound=bound, parts=parts)
 
 

@@ -42,3 +42,19 @@ def er(basis, *coords):
 
 def spec_path(name):
     return os.path.join(SPEC_DIR, name)
+
+
+def check_periodicity(u, generators, samples, tol: float) -> tuple[bool, float]:
+    """Max over samples x and generators s of |u(x+s) - u(x)|; True iff <= tol."""
+    import numpy as np
+
+    worst = 0.0
+    for x in samples:
+        xv = np.asarray(x, dtype=float)
+        ux = float(u(xv))
+        for s in generators:
+            sv = np.asarray(s, dtype=float)
+            dev = abs(float(u(xv + sv)) - ux)
+            if dev > worst:
+                worst = dev
+    return worst <= tol, worst

@@ -7,7 +7,7 @@ import pytest
 
 import liouville
 from liouville import cli, numerics
-from liouville.cli import main, parse_report
+from liouville.cli import main
 from liouville.measures import parse_measure, support_of
 from conftest import SPEC_DIR, spec_path
 
@@ -97,13 +97,16 @@ class TestDeterminism:
 
 
 class TestReportFormat:
-    def test_roundtrip_parse(self, capsys):
-        _, out, _ = run(capsys, "decide", spec_path("kronecker_rational.yaml"), "--no-timestamp")
-        doc = parse_report(out)
+    def test_json_sections_and_types(self, capsys):
+        _, out, _ = run(
+            capsys, "decide", spec_path("kronecker_rational.yaml"), "--no-timestamp",
+            "--format", "json",
+        )
+        doc = json.loads(out)
         assert doc["verdict"] == "fails"
         assert doc["route"] == "lattice"
-        assert "hyperplane_certificate" in doc
-        assert doc["closure"]["lattice_rank"] == "2"
+        assert doc["hyperplane_certificate"]["exact"] is True
+        assert doc["closure"]["lattice_rank"] == 2
 
     def test_json_format(self, capsys):
         _, out, _ = run(
@@ -226,10 +229,11 @@ class TestOtherCommands:
             "--function", "cos",
             "--points", "2",
             "--seed", "1",
+            "--format", "json",
         )
         assert code == 0
-        doc = parse_report(out)
-        assert float(doc["max_bound"]) < 1e-3
+        doc = json.loads(out)
+        assert 0 < doc["max_bound"] < 1e-3
 
     def test_verify_seed_reproducible(self, capsys):
         args = ["verify", spec_path("mean_value.yaml"), "--no-timestamp",
@@ -237,8 +241,9 @@ class TestOtherCommands:
         _, a, _ = run(capsys, *args)
         _, b, _ = run(capsys, *args)
         assert a == b
-        doc = parse_report(a)
-        assert float(doc["max_abs_value"]) < 1e-10
+        _, c, _ = run(capsys, *args, "--format", "json")
+        doc = json.loads(c)
+        assert doc["max_abs_value"] < 1e-10
 
 
 class TestStrictSymmetryFlag:
@@ -302,14 +307,12 @@ print(json.dumps(liouville.__all__))
 """)
         names = json.loads(out)
         assert set(names) == {
-            "ConstantBasis", "ExtendedRational", "QValue", "density_witness", "parse_coordinate",
-            "q_of", "rational_gcd", "rational_ratio", "LevyMeasure", "parse_measure",
-            "serialize_measure", "support_of", "lebesgue_split", "ClosedSubgroup",
-            "HyperplaneCertificate", "closure_1d", "closure_multid", "lattice_hnf",
-            "orthogonalize", "decompose_measure", "hyperplane_certificate",
+            "ConstantBasis", "ExtendedRational", "density_witness", "parse_coordinate",
+            "rational_gcd", "rational_ratio", "LevyMeasure", "parse_measure", "support_of",
+            "ClosedSubgroup", "HyperplaneCertificate", "closure_1d", "closure_multid",
+            "lattice_hnf", "orthogonalize", "decompose_measure", "hyperplane_certificate",
             "LiouvilleVerdict", "decide", "decide_1d", "Counterexample", "build_counterexample",
-            "check_periodicity", "OperatorEvaluator", "PropagationState", "propagate",
-            "density_probe",
+            "OperatorEvaluator", "PropagationState", "propagate", "density_probe",
         }
         for name in names:
             assert getattr(liouville, name) is not None

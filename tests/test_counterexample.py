@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from liouville.closure import HyperplaneCertificate, closure_1d, closure_multid, hyperplane_certificate, orthogonalize
-from liouville.counterexample import CounterexampleError, build_counterexample, check_periodicity
+from liouville.counterexample import CounterexampleError, build_counterexample
 from liouville.decider import decide
 from liouville.measures import parse_measure, support_of
 from liouville.numerics import OperatorEvaluator, eval_operator
-from conftest import er, spec_path
+from conftest import check_periodicity, er, spec_path
 
 
 def load(name):

@@ -15,7 +15,6 @@ from liouville.exactreal import (
     floor_split,
     format_coordinate,
     parse_coordinate,
-    q_of,
     rational_gcd,
     rational_gcd_many,
     rational_ratio,
@@ -120,29 +119,21 @@ class TestRationalRatio:
         with pytest.raises(ZeroDivisionError):
             rational_ratio(er(plain_basis, 0), er(plain_basis, 1))
 
-
-class TestQOf:
     def test_already_reduced(self, plain_basis):
-        q = q_of(er(plain_basis, 1), er(plain_basis, Fraction(3, 2)))
-        assert (q.p, q.q) == (3, 2)
+        assert rational_ratio(er(plain_basis, 1), er(plain_basis, Fraction(3, 2))) == Fraction(3, 2)
 
     def test_sequence_point(self, plain_basis):
-        # a_n = (n^2+1)/n at n = 5 gives 26/5; Q(2, 26/5) = 5
-        q = q_of(er(plain_basis, 2), er(plain_basis, Fraction(26, 5)))
-        assert (q.p, q.q) == (13, 5)
-        assert q.q >= 5
-
-    def test_pi_is_infinite(self, pi_basis):
-        assert q_of(er(pi_basis, 1, 0), er(pi_basis, 0, 1)).is_infinite
+        # a_n = (n^2+1)/n at n = 5 gives 26/5; (26/5) / 2 = 13/5 has denominator 5
+        r = rational_ratio(er(plain_basis, 2), er(plain_basis, Fraction(26, 5)))
+        assert (r.numerator, r.denominator) == (13, 5)
 
     def test_self_and_mirror(self, pi_basis):
         a = er(pi_basis, Fraction(5, 3), 1)
-        assert (q_of(a, a).p, q_of(a, a).q) == (1, 1)
-        assert (q_of(a, -a).p, q_of(a, -a).q) == (-1, 1)
+        assert rational_ratio(a, a) == 1
+        assert rational_ratio(a, -a) == -1
 
-    def test_zero_raises(self, plain_basis):
-        with pytest.raises(ZeroDivisionError):
-            q_of(er(plain_basis, 0), er(plain_basis, 1))
+    def test_zero_b_gives_ratio_zero(self, plain_basis):
+        assert rational_ratio(er(plain_basis, 1), er(plain_basis, 0)) == 0
 
     @given(a=rationals, b=rationals)
     def test_reduced_identity(self, a, b):
@@ -150,10 +141,10 @@ class TestQOf:
         if a == 0 or b == 0:
             return
         basis = ConstantBasis()
-        qv = q_of(ExtendedRational(basis, (a,)), ExtendedRational(basis, (b,)))
-        assert not qv.is_infinite
-        assert qv.q * b == qv.p * a
-        assert math.gcd(abs(qv.p), qv.q) == 1
+        r = rational_ratio(ExtendedRational(basis, (a,)), ExtendedRational(basis, (b,)))
+        assert r is not None
+        assert r.denominator * b == r.numerator * a
+        assert math.gcd(abs(r.numerator), r.denominator) == 1
 
 
 class TestRationalGcd:
@@ -213,7 +204,7 @@ class TestLemRwConsistency:
             support.append(ExtendedRational(basis, coords))
         sups = []
         for a in support:
-            sups.append(any(q_of(a, b).is_infinite for b in support))
+            sups.append(any(rational_ratio(a, b) is None for b in support))
         assert all(sups) or not any(sups)
 
 

@@ -1,0 +1,64 @@
+"""Every top-level definition under src/liouville is used by the package itself.
+
+A function or class that only tests reach is dead weight in the library: the
+tests exercise it, but no command, report or other layer does.  The allowlist
+is the functions perfbench/tracer.py wraps by name (its `Tracer.install` looks
+each one up, so they stay until the tracer drops them) and `density_witness`.
+"""
+
+import ast
+import os
+
+from test_bench_contract import traced_names
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "liouville")
+
+ALLOWED = {
+    ("exactreal", "density_witness"),  # ROADMAP item 5 replaces it with an LLL witness
+}
+
+
+def _modules():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(SRC, name)) as fh:
+                yield name[:-3], ast.parse(fh.read())
+
+
+def _referenced(name, own, trees):
+    """Whether `name` is read as a name or an attribute anywhere outside `own`."""
+    return any(
+        id(node) not in own
+        and (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+        )
+        for tree in trees
+        for node in ast.walk(tree)
+    )
+
+
+def unreferenced_definitions():
+    modules = dict(_modules())
+    trees = list(modules.values())
+    found = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {id(n) for n in ast.walk(node)}
+                if not _referenced(node.name, own, trees):
+                    found.append((module, node.name))
+    return found
+
+
+def test_every_definition_is_reached_from_src():
+    traced = {(layer, name) for layer, names in traced_names().items() for name in names}
+    assert [d for d in unreferenced_definitions() if d not in traced | ALLOWED] == []
+
+
+def test_the_scan_sees_a_definition_used_only_by_itself():
+    # recursion does not count as a use: the walk skips the definition's own body
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n\ndef g():\n    return 1\n\nh = g\n")
+    (f, g) = tree.body[:2]
+    assert not _referenced("f", {id(n) for n in ast.walk(f)}, [tree])
+    assert _referenced("g", {id(n) for n in ast.walk(g)}, [tree])
