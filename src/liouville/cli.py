@@ -9,6 +9,7 @@ codes: 0 = Liouville holds, 10 = fails, 20 = uncertified, 2 = input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -320,6 +321,7 @@ def cmd_verify(args) -> int:
     return EXIT_HOLDS
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="liouville",

@@ -720,25 +720,21 @@ def _lattice_point(group: ClosedSubgroup, key) -> Point:
 def _separation(group: ClosedSubgroup) -> float:
     """Norm of a shortest nonzero vector of Z-span(lambda); inf at rank 0.
 
-    The search box is that of `rl.box_norms`, which depends on the basis only.
     The Gram matrix G is taken from the float basis, so a mixed-scale lattice
-    such as (1, 0), (0, sqrt2) needs no product of constants; every candidate
-    within rounding of the shortest is rebuilt exactly and reports its norm as
-    sqrt(sum float(c)^2) over its exact coordinates.
+    such as (1, 0), (0, sqrt2) needs no product of constants; `rl.short_vectors`
+    reduces and enumerates it in floats, which only chooses the unimodular T.
+    Every candidate within rounding of the shortest is rebuilt exactly and
+    reports its norm as sqrt(sum float(c)^2) over its exact coordinates.
     """
     if group.lattice_rank == 0:
         return math.inf
     vecs = [[float(c) for c in v] for v in group.lambda_basis]
     G = [[math.fsum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
     tol = 1 + 1e-9
-    best, near = math.inf, []
-    for m, q in rl.box_norms(G):
-        if q < best:
-            best = q
-            near = [(k, s) for k, s in near if s <= best * tol]
-        if q <= best * tol:
-            near.append((m, q))
-    return min(math.sqrt(sum(float(c) ** 2 for c in _lattice_point(group, m))) for m, _ in near)
+    found = list(rl.short_vectors(G, tol))
+    best = min(q for _, q in found)
+    near = [m for m, q in found if q <= best * tol]
+    return min(math.sqrt(sum(float(c) ** 2 for c in _lattice_point(group, m))) for m in near)
 
 
 def _verify_symmetry_pairing(keys, parts):

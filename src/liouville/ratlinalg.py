@@ -7,7 +7,6 @@ small dense desk-scale math: correctness over asymptotics.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -202,47 +201,90 @@ def gram(vectors, dot):
     return [[dot(u, v) for v in vectors] for u in vectors]
 
 
-def shortest_vector(basis, dot, norm_sq=None):
-    """Shortest nonzero vector of a rank<=4 lattice by bounded enumeration.
+def shortest_vector(basis, dot):
+    """Shortest nonzero vector of the lattice spanned by basis, as (m, m^T G m).
 
-    dot(u, v) must return exact rationals.  Ties break lexicographically on
-    the coefficient tuple, preferring the sign making the first nonzero
-    numeric coordinate positive; callers canonicalize signs afterwards.
+    dot(u, v) must return exact rationals; any rank.  m holds the coefficients
+    over basis, and among all vectors of minimal norm the lexicographically
+    smallest m wins; callers canonicalize signs afterwards.
     """
     if not basis:
         return None, None
-    best = None
-    best_m = None
-    for m, n in box_norms(gram(basis, dot)):
-        if best is None or n < best or (n == best and m < best_m):
-            best = n
-            best_m = m
-    return best_m, best
+    n, m = min((n, m) for m, n in short_vectors(gram(basis, dot)))
+    return m, n
 
 
-def coefficient_bounds(G):
-    """Bounds b_i with |m_i| <= b_i for every m with m^T G m <= min_j G_jj.
+def lll_reduce(G):
+    """LLL reduction (delta = 3/4) of the lattice with Gram matrix G: (T, mu, B).
 
-    Such an m has |m_i| <= sqrt(min_j G_jj * (G^-1)_ii); the + 1 absorbs the
-    floor of the integer square root.  The bound is computed exactly from the
-    entries of G, which may be rationals or floats.
+    T[j] holds the coefficients over G's basis of the j-th reduced vector b_j,
+    so the matrix with columns T[j] is unimodular.  mu and B are the
+    Gram-Schmidt data of the reduced basis, b_j* = b_j - sum_i mu[j][i] b_i*
+    with B[j] = |b_j*|^2, updated in place as in Cohen, Alg. 2.6.3.  Exact for
+    rational G; for float G, T is still unimodular and mu, B carry rounding.
     """
     r = len(G)
-    top = min(Fraction(G[i][i]) for i in range(r))
-    ginv_diag = [solve(G, [Fraction(int(j == i)) for j in range(r)])[i] for i in range(r)]
-    return [math.isqrt(int(top * g)) + 1 for g in ginv_diag]
+    T = [[int(i == j) for i in range(r)] for j in range(r)]
+    mu = [[0] * r for _ in range(r)]
+    B = [G[0][0]] + [0] * (r - 1)
+
+    def reduce(k, l):  # b_k -= q b_l with q the nearest integer to mu_kl
+        q = round(mu[k][l])
+        if q:
+            T[k] = [a - q * b for a, b in zip(T[k], T[l])]
+            mu[k] = [a - q * b for a, b in zip(mu[k][:l], mu[l][:l])] + [mu[k][l] - q] + mu[k][l + 1:]
+
+    k, kmax = 1, 0
+    while k < r:
+        if k > kmax:  # b_k is still the k-th input vector, so b_k . b_j = (G T[j])_k
+            kmax = k
+            for j in range(k):
+                s = sum(g * t for g, t in zip(G[k], T[j]))
+                mu[k][j] = (s - sum(mu[j][i] * mu[k][i] * B[i] for i in range(j))) / B[j]
+            B[k] = G[k][k] - sum(mu[k][i] * mu[k][i] * B[i] for i in range(k))
+        reduce(k, k - 1)
+        m = mu[k][k - 1]
+        if 4 * B[k] < (3 - 4 * m * m) * B[k - 1]:
+            T[k], T[k - 1] = T[k - 1], T[k]
+            mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
+            b = B[k] + m * m * B[k - 1]
+            mu[k][k - 1] = m * B[k - 1] / b
+            B[k], B[k - 1] = B[k - 1] * B[k] / b, b
+            for i in range(k + 1, kmax + 1):
+                mu[i][k], mu[i][k - 1] = mu[i][k - 1] - m * mu[i][k], mu[i][k]
+                mu[i][k - 1] += mu[k][k - 1] * mu[i][k]
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return T, mu, B
 
 
-def box_norms(G):
-    """(m, m^T G m) for every nonzero integer m in the box of `coefficient_bounds(G)`.
+def short_vectors(G, slack=1):
+    """(m, m^T G m) for every nonzero integer m with m^T G m <= slack * |b_0|^2.
 
-    A shortest nonzero vector of the lattice with Gram matrix G is among them.
-    The form is summed in the type of G's entries: exact for rationals.
+    b_0 is the first vector of the LLL-reduced basis of `lll_reduce(G)`, so the
+    radius is at least slack times the squared minimum: every shortest vector
+    is listed, with both signs.  Fincke-Pohst enumeration in the reduced basis
+    (Cohen, §2.7), scanning each coordinate outward from its center with no
+    square roots; m is mapped back to G's basis.  Exact for rational G.
     """
-    r = len(G)
-    for m in itertools.product(*(range(-b, b + 1) for b in coefficient_bounds(G))):
-        if any(m):
-            yield m, sum(m[i] * m[j] * G[i][j] for i in range(r) if m[i] for j in range(r) if m[j])
+    T, mu, B = lll_reduce(G)
+    r, radius, y = len(G), slack * B[0], [0] * len(G)
+
+    def level(i, q):  # every y[i], given y[i+1:] and their share q of the norm
+        c = -sum(mu[k][i] * y[k] for k in range(i + 1, r))
+        for x, step in ((math.floor(c), -1), (math.floor(c) + 1, 1)):
+            while (n := q + B[i] * (x - c) ** 2) <= radius:
+                y[i] = x
+                if i:
+                    yield from level(i - 1, n)
+                elif any(y):
+                    yield tuple(sum(y[k] * T[k][j] for k in range(r)) for j in range(r)), n
+                x += step
+
+    yield from level(r - 1, 0)
 
 
 def complete_primitive(m):

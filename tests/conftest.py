@@ -58,3 +58,21 @@ def check_periodicity(u, generators, samples, tol: float) -> tuple[bool, float]:
             if dev > worst:
                 worst = dev
     return worst <= tol, worst
+
+
+def coefficient_bounds(G):
+    """Bounds b_i with |m_i| <= b_i for every m with m^T G m <= min_j G_jj.
+
+    Such an m has |m_i| <= sqrt(min_j G_jj * (G^-1)_ii); the + 1 absorbs the
+    floor of the integer square root.  The bound is computed exactly from the
+    entries of G, which may be rationals or floats.  A brute-force search over
+    this box therefore meets every shortest vector of the lattice with Gram G.
+    """
+    import math
+
+    from liouville import ratlinalg as rl
+
+    r = len(G)
+    top = min(Fraction(G[i][i]) for i in range(r))
+    ginv_diag = [rl.solve(G, [Fraction(int(j == i)) for j in range(r)])[i] for i in range(r)]
+    return [math.isqrt(int(top * g)) + 1 for g in ginv_diag]

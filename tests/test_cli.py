@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -80,6 +82,38 @@ atoms:
         code, out, err = run(capsys, "decide", str(spec))
         assert (code, out) == (2, "")
         assert err == "error: invalid measure spec: continuous[0]: bad number for alpha: 'abc'\n"
+
+
+class TestParserReuse:
+    """`cli.main` builds its parser once per process; a reused parser acts like a fresh one."""
+
+    @staticmethod
+    def call(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_consecutive_calls_match_a_fresh_parser(self):
+        calls = [
+            ("decide",),  # usage error: the spec is missing
+            ("--version",),
+            ("decide", spec_path("discrete_laplacian.yaml"), "--no-timestamp"),
+        ]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(self.call(*argv))
+        assert cli.build_parser() is cli.build_parser()
+        reused = [self.call(*argv) for argv in calls]
+        assert reused == fresh
+        usage, version, decided = reused
+        assert usage[0] == 2 and usage[1] == "" and "usage: liouville decide" in usage[2]
+        assert version == (0, f"liouville {liouville.__version__}\n", "")
+        assert decided[0] == 10 and "verdict: fails" in decided[1] and decided[2] == ""
 
 
 class TestDeterminism:

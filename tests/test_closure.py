@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liouville import ratlinalg as rl
@@ -27,7 +28,7 @@ from liouville.closure import (
 )
 from liouville.exactreal import ConstantBasis, ExtendedRational, NotRepresentableError
 from liouville.measures import SupportDescriptor, parse_measure, support_of
-from conftest import PI_50, SQRT2_50, SQRT3_50, er, spec_path
+from conftest import PI_50, SQRT2_50, SQRT3_50, coefficient_bounds, er, spec_path
 
 
 def load(name):
@@ -448,31 +449,29 @@ class TestDecompose:
         assert dec.separation == 1.0
 
     @staticmethod
-    def brute_force_separation(group, box):
-        """min over 0 < |m|_inf <= box of the norm of the exact point sum m_i lambda_i.
+    def brute_force_separation(group, bounds):
+        """min over nonzero m with |m_i| <= bounds[i] of the norm of the exact point sum m_i lambda_i.
 
         Float vectors find the near-shortest m; only those are rebuilt exactly.
         """
         lam = group.lambda_basis
-        flt = [[float(c) for c in v] for v in lam]
-        approx = {}
-        for m in itertools.product(range(-box, box + 1), repeat=len(lam)):
-            if any(m):
-                approx[m] = sum(sum(mi * v[j] for mi, v in zip(m, flt)) ** 2 for j in range(group.dimension))
-        top = min(approx.values()) * (1 + 1e-6)
-        near = [m for m, q in approx.items() if q <= top]
+        flt = np.array([[float(c) for c in v] for v in lam])
+        grid = np.array(list(itertools.product(*(range(-b, b + 1) for b in bounds))))
+        grid = grid[np.any(grid != 0, axis=1)]
+        approx = np.sum((grid @ flt) ** 2, axis=1)
+        near = grid[approx <= approx.min() * (1 + 1e-6)]
         return min(
-            math.sqrt(sum(float(sum((v[j] * Fraction(mi) for mi, v in zip(m, lam)), group.basis.zero())) ** 2
+            math.sqrt(sum(float(sum((v[j] * Fraction(int(mi)) for mi, v in zip(m, lam)), group.basis.zero())) ** 2
                           for j in range(group.dimension)))
             for m in near
         )
 
-    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_separation_is_a_shortest_vector(self, rank):
         basis = ConstantBasis(("sqrt2", "sqrt3"), (SQRT2_50, SQRT3_50))
         rng = random.Random(rank)
         for _ in range(6):
-            d = rng.randint(rank, 3)
+            d = rng.randint(rank, max(rank, 3))
             while True:
                 vecs = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)] for _ in range(rank)]
                 if rl.rank(vecs) == rank:
@@ -484,11 +483,11 @@ class TestDecompose:
                 scale[rng.randrange(3)] = 1
                 lam.append(tuple(er(basis, *(x * s for s in scale)) for x in vec))
             group = ClosedSubgroup(d, basis, (), tuple(lam), True, "exact", Route.LATTICE)
-            # the brute force must search a strictly wider box than the code does
+            # the brute force searches a box strictly wider than one holding every shortest vector
             flt = [[float(c) for c in v] for v in lam]
             G = [[math.fsum(a * b for a, b in zip(u, v)) for v in flt] for u in flt]
-            assert max(rl.coefficient_bounds(G)) < 10
-            assert _separation(group) == self.brute_force_separation(group, 10)
+            bounds = [b + 1 for b in coefficient_bounds(G)]
+            assert _separation(group) == self.brute_force_separation(group, bounds)
 
     def test_separation_of_mixed_scale_lattice(self):
         # (1, 0), (0, sqrt2): the exact Gram matrix would need sqrt2 * sqrt2

@@ -21,6 +21,7 @@ against the plant and never against its own output.
 
 import contextlib
 import io
+import math
 import os
 import random
 from fractions import Fraction
@@ -33,6 +34,7 @@ from liouville.closure import (
     _coset_keys,
     _validate_certificate,
     closure_multid,
+    decompose_measure,
     er_dot,
     orthogonalize,
 )
@@ -207,6 +209,35 @@ def test_planted_fails_are_certified_and_contain_their_generators():
             assert er_dot(xi_point, vec).is_zero(), name
         for lam in group.lambda_basis:
             assert _in_alpha_z(er_dot(xi_point, lam), a), name
+
+
+# A 3-D lattice over a non-integral grid, planted *fails* with xi = (-2, 1, 1).  Its
+# HNF basis (1/4, 0, 17/2), (0, 1, 12), (0, 0, 19) is skewed: the coefficient box of
+# `conftest.coefficient_bounds` for it holds 47,215 points.
+SKEWED_3D = """\
+dimension: 3
+atoms:
+  - {point: ["1", "2", "1"], weight: "1"}
+  - {point: ["-3/4", "-1", "1/2"], weight: "1/2"}
+  - {point: ["3/4", "-2", "3/2"], weight: "1/2"}
+"""
+
+
+def test_skewed_3d_lattice_is_certified_and_decomposed():
+    mu = parse_measure(SKEWED_3D)
+    v = decide(mu, probe_config=FAST_PROBE)
+    assert v.certified and v.holds is False
+    _validate_certificate(v.certificate, support_of(mu))
+    xi_point = tuple(mu.basis.from_rational(x) for x in (-2, 1, 1))
+    assert v.closure.lattice_rank == 3
+    for lam in v.closure.lambda_basis:
+        assert _in_alpha_z(er_dot(xi_point, lam), 0)
+    # c is the shortest lattice vector, the atom (3/4, 1, -1/2) up to sign
+    c = tuple(x.coords[0] for x in v.certificate.c)
+    assert c in {(Fraction(3, 4), 1, Fraction(-1, 2)), (Fraction(-3, 4), -1, Fraction(1, 2))}
+    dec = decompose_measure(mu, v.closure)
+    assert dec.separation == math.sqrt(9 / 16 + 1 + 1 / 4)
+    assert sum(len(part) for part in dec.parts) == 6
 
 
 def test_planted_holds_are_certified():

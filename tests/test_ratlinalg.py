@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from liouville import ratlinalg as rl
+from conftest import coefficient_bounds
 
 
 def bfs_span_in_box(gens, box, pad):
@@ -159,14 +161,15 @@ class TestIntegerKernel:
         assert rl.lattice_member(basis, [Fraction(0), Fraction(1)]) is None
 
 
-class TestShortestVector:
-    def dot(self, u, v):
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+def dot(u, v):
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
 
+
+class TestShortestVector:
     def test_skew_basis(self):
         # lattice Z(3,0) + Z(2,1): shortest is (-1, 1) (norm^2 = 2)
         basis = [(Fraction(3), Fraction(0)), (Fraction(2), Fraction(1))]
-        m, norm = rl.shortest_vector(basis, self.dot)
+        m, norm = rl.shortest_vector(basis, dot)
         vec = tuple(sum(Fraction(mi) * b[i] for mi, b in zip(m, basis)) for i in range(2))
         assert norm == 2
         assert sorted(map(abs, vec)) == [1, 1]
@@ -179,9 +182,9 @@ class TestShortestVector:
                 v = (Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
                 if any(v) and (not basis or basis[0][0] * v[1] - basis[0][1] * v[0] != 0):
                     basis.append(v)
-            _, norm = rl.shortest_vector(basis, self.dot)
+            _, norm = rl.shortest_vector(basis, dot)
             brute = min(
-                self.dot(
+                dot(
                     [m1 * basis[0][0] + m2 * basis[1][0], m1 * basis[0][1] + m2 * basis[1][1]],
                     [m1 * basis[0][0] + m2 * basis[1][0], m1 * basis[0][1] + m2 * basis[1][1]],
                 )
@@ -190,6 +193,104 @@ class TestShortestVector:
                 if (m1, m2) != (0, 0)
             )
             assert norm == brute
+
+
+def random_unimodular(rng, r, steps=12):
+    """Random signs times random elementary integer column operations, so det = +-1."""
+    T = [[rng.choice((1, -1)) * int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(steps if r > 1 else 0):
+        i, j = rng.sample(range(r), 2)
+        q = rng.choice((-3, -2, -1, 1, 2, 3))
+        for row in T:
+            row[i] += q * row[j]
+        if rng.random() < 0.3:
+            for row in T:
+                row[i], row[j] = -row[j], row[i]
+    return T
+
+
+def skew(basis, T):
+    """The basis whose j-th vector is sum_k T[k][j] basis[k]."""
+    return [tuple(sum(T[k][j] * Fraction(b[i]) for k, b in enumerate(basis)) for i in range(len(basis[0])))
+            for j in range(len(T))]
+
+
+def box_size(bounds):
+    return math.prod(2 * b + 1 for b in bounds)
+
+
+def brute_minimal_set(G):
+    """(every shortest nonzero m, its norm m^T G m) by exhaustive search.
+
+    The box of `coefficient_bounds` holds every m with m^T G m <= min_j G_jj,
+    hence every shortest vector.  The form is summed in int64 after clearing
+    G's denominators, which is exact at these sizes.
+    """
+    scale = math.lcm(*(Fraction(x).denominator for row in G for x in row))
+    Gi = np.array([[int(Fraction(x) * scale) for x in row] for row in G], dtype=np.int64)
+    bounds = coefficient_bounds(G)
+    assert box_size(bounds) <= 10**5, "brute force box too large"
+    grid = np.array(list(itertools.product(*(range(-b, b + 1) for b in bounds))), dtype=np.int64)
+    grid = grid[np.any(grid != 0, axis=1)]
+    q = np.einsum("ni,ij,nj->n", grid, Gi, grid)
+    return {tuple(map(int, m)) for m in grid[q == q.min()]}, Fraction(int(q.min()), scale)
+
+
+class TestLatticeSearch:
+    """shortest_vector and short_vectors against a brute force in the unskewed basis.
+
+    The brute force runs on a small basis, whose box is proven wide enough; its
+    minimal set is mapped through T^-1 onto the coefficients of the skewed basis
+    that the search sees, where the lexicographically smallest m must come back.
+    """
+
+    def assert_search_matches(self, basis, T, count=None):
+        found, norm = brute_minimal_set(rl.gram(basis, dot))
+        Tinv = rl.invert_unimodular(T)
+        expected = {tuple(sum(Tinv[j][k] * m[k] for k in range(len(m))) for j in range(len(m))) for m in found}
+        skewed = skew(basis, T)
+        m, n = rl.shortest_vector(skewed, dot)
+        assert (m, n) == (min(expected), norm)
+        assert {v for v, q in rl.short_vectors(rl.gram(skewed, dot)) if q == norm} == expected
+        if count is not None:
+            assert len(expected) == count
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_seeded_skewed_lattices(self, rank):
+        rng = random.Random(100 + rank)
+        for _ in range(8):
+            d = rng.randint(rank, rank + 1)
+            while True:
+                basis = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)) for _ in range(rank)]
+                # the skew comes from T; the brute force needs a small box for the unskewed basis
+                if rl.rank(basis) == rank and box_size(coefficient_bounds(rl.gram(basis, dot))) <= 10**4:
+                    break
+            self.assert_search_matches(basis, random_unimodular(rng, rank))
+
+    @pytest.mark.parametrize(
+        "basis, count",
+        [
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 6),  # Z^3
+            ([(1, -1, 0), (0, 1, -1)], 6),  # hexagonal A2 in the plane x + y + z = 0
+            ([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)], 24),  # D4
+        ],
+        ids=["Z3", "A2", "D4"],
+    )
+    def test_ties_break_to_the_lexicographic_minimum(self, basis, count):
+        rng = random.Random(count + len(basis))
+        identity = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+        self.assert_search_matches(basis, identity, count)
+        for _ in range(4):
+            self.assert_search_matches(basis, random_unimodular(rng, len(basis)), count)
+
+    def test_skew_of_fifty_leaves_the_search_small(self):
+        # a unimodular T with entries near 50: the box of the unreduced basis holds ~1.4e15 points
+        T = [[55, 57, -35], [41, 42, 36], [-56, -58, 31]]
+        base = [(Fraction(1, 2), 0, 0), (0, Fraction(1, 3), 0), (0, 0, Fraction(1))]
+        skewed = skew(base, T)
+        assert box_size(coefficient_bounds(rl.gram(skewed, dot))) > 10**6
+        col = [row[1] for row in rl.invert_unimodular(T)]  # the coordinates of (0, 1/3, 0)
+        assert rl.shortest_vector(skewed, dot) == (min(tuple(col), tuple(-c for c in col)), Fraction(1, 9))
 
 
 class TestUnimodular:
