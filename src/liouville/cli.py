@@ -110,7 +110,7 @@ def _verdict_report(text, verdict, args) -> Report:
     r.add("route", verdict.route)
     for a in verdict.assumptions:
         r.add("assumption", a)
-    if verdict.closure is not None and verdict.closure.is_certified():
+    if verdict.certified:
         s = r.section("closure")
         s.add("provenance", verdict.closure.provenance)
         s.add("v_dimension", verdict.closure.v_dim)
@@ -130,29 +130,25 @@ def _verdict_report(text, verdict, args) -> Report:
         s.add("closed_form", verdict.counterexample.closed_form)
     if verdict.witness:
         s = r.section("witness")
-        w = verdict.witness
-        if isinstance(w, dict):
-            for k, v in w.items():
-                if k == "pair" and v:
-                    s.add("pair", format_point(v))
-                elif k == "samples":
-                    s.add("q_samples", [f"n={n}:q={q}" for n, q in v])
-                elif k == "c":
-                    for c in v:
-                        s.add("kronecker_c", format_point(c))
-                elif k == "dependency" and v:
-                    s.add("dependency", [str(x) for x in v])
-                elif k == "accumulation_points":
-                    for p in v:
-                        s.add("accumulation_point", format_point(p))
-                else:
-                    s.add(k, str(v))
-        else:
-            s.add("value", str(w))
-    if "probe_verdict" in verdict.diagnostics:
+        for k, v in verdict.witness.items():
+            if k == "pair":
+                s.add("pair", format_point(v))
+            elif k == "samples":
+                s.add("q_samples", [f"n={n}:q={q}" for n, q in v])
+            elif k == "c":
+                for c in v:
+                    s.add("kronecker_c", format_point(c))
+            elif k == "dependency":
+                s.add("dependency", [str(x) for x in v])
+            elif k == "accumulation_points":
+                for p in v:
+                    s.add("accumulation_point", format_point(p))
+            else:
+                s.add(k, str(v))
+    if not verdict.certified:
         s = r.section("probe")
-        s.add("verdict", verdict.diagnostics["probe_verdict"])
-        probe = verdict.diagnostics.get("probe")
+        probe = verdict.closure.probe
+        s.add("verdict", probe.verdict if probe else "unavailable")
         if probe is not None:
             s.add("deltas", [float(d) for d in probe.deltas])
             if probe.g_estimate is not None:
@@ -389,7 +385,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("LIOUVILLE_LOG", "WARNING").upper())
+    level = os.environ.get("LIOUVILLE_LOG", "WARNING").upper()
+    try:
+        logging.basicConfig(level=level)
+    except ValueError:
+        print(f"error: LIOUVILLE_LOG names no logging level: {level!r}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -68,8 +68,6 @@ class ClosedSubgroup:
     basis: ConstantBasis
     v_basis: tuple[Point, ...]
     lambda_basis: tuple[Point, ...]
-    orthogonal: bool
-    provenance: str  # "exact" | "numerical-probe"
     route: Route
     witness: Any = None
     probe: Any = None
@@ -85,8 +83,12 @@ class ClosedSubgroup:
     def is_full(self) -> bool:
         return self.v_dim == self.dimension
 
+    @property
+    def provenance(self) -> str:
+        return "numerical-probe" if self.route is Route.PROBE else "exact"
+
     def is_certified(self) -> bool:
-        return self.provenance == "exact"
+        return self.route is not Route.PROBE
 
 
 @dataclass(frozen=True)
@@ -169,29 +171,29 @@ def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
         raise ClosureError("closure_1d requires dimension 1")
     basis = _descriptor_basis(support)
     if support.is_empty():
-        return ClosedSubgroup(1, basis, (), (), True, "exact", Route.TRIVIAL)
+        return ClosedSubgroup(1, basis, (), (), Route.TRIVIAL)
     if support.fills_ball or support.accumulation_points or support.directions:
         route = Route.INTERVAL_OR_BALL if support.fills_ball else Route.ACCUMULATION
-        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), True, "exact", route)
+        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), route)
     # the positive support values, one per +- pair, sorted and distinct
     scalars = []
     for x in sorted((p[0] for p in support.finite_points if p[0].sign() > 0), key=float):
         if not scalars or not (x - scalars[-1]).is_zero():
             scalars.append(x)
     if not scalars:
-        return ClosedSubgroup(1, basis, (), (), True, "exact", Route.TRIVIAL)
+        return ClosedSubgroup(1, basis, (), (), Route.TRIVIAL)
     a1 = scalars[0]
     ratios = []
     for b in scalars:
         r = rational_ratio(a1, b)
         if r is None:
             return ClosedSubgroup(
-                1, basis, _unit_points(basis, 1), (), True, "exact", Route.IRRATIONAL_PAIR,
+                1, basis, _unit_points(basis, 1), (), Route.IRRATIONAL_PAIR,
                 witness=(a1, b),
             )
         ratios.append(r)
     g = a1.scale(rational_gcd_many(ratios))
-    return ClosedSubgroup(1, basis, (), ((g,),), True, "exact", Route.LATTICE)
+    return ClosedSubgroup(1, basis, (), ((g,),), Route.LATTICE)
 
 
 def _descriptor_basis(support: SupportDescriptor) -> ConstantBasis:
@@ -228,7 +230,7 @@ def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgr
     basis = _descriptor_basis(support)
     full_v = _unit_points(basis, d)
     if support.fills_ball:
-        return ClosedSubgroup(d, basis, full_v, (), True, "exact", Route.INTERVAL_OR_BALL)
+        return ClosedSubgroup(d, basis, full_v, (), Route.INTERVAL_OR_BALL)
 
     # V from the dense directions, rationalized so reductions stay exact
     splits = [scalar_direction_split(v) for v in support.directions]
@@ -236,7 +238,7 @@ def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgr
         return _probe_closure(basis, support, probe_config)
     v_span = _rational_span_basis([w for _, w in splits])
     if len(v_span) == d:
-        return ClosedSubgroup(d, basis, full_v, (), True, "exact", Route.INTERVAL_OR_BALL)
+        return ClosedSubgroup(d, basis, full_v, (), Route.INTERVAL_OR_BALL)
 
     points = [p for p in support.finite_points if not point_is_zero(p)]
     if v_span:
@@ -255,8 +257,8 @@ def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgr
         )
         lam = tuple(_combine(comp_points, v) for v in lam)
     if len(v_basis) == d:
-        return ClosedSubgroup(d, basis, full_v, (), True, "exact", route, witness=witness)
-    return ClosedSubgroup(d, basis, v_basis, lam, False, "exact", route, witness=witness)
+        return ClosedSubgroup(d, basis, full_v, (), route, witness=witness)
+    return ClosedSubgroup(d, basis, v_basis, lam, route, witness=witness)
 
 
 def _points_closure(basis, d, points):
@@ -462,16 +464,7 @@ def _probe_closure(basis, support, probe_config) -> ClosedSubgroup:
             n_max=cfg.get("n_max", 30),
             grid_div=cfg.get("grid_div", 100),
         )
-    return ClosedSubgroup(
-        support.dimension,
-        basis,
-        (),
-        (),
-        False,
-        "numerical-probe",
-        Route.PROBE,
-        probe=result,
-    )
+    return ClosedSubgroup(support.dimension, basis, (), (), Route.PROBE, probe=result)
 
 
 # -- orthogonalization ----------------------------------------------------------------
@@ -490,7 +483,7 @@ def orthogonalize(group: ClosedSubgroup) -> ClosedSubgroup:
     In the frame [V | V-perp], a - proj_V(a) is the V-perp part of a.
     """
     if not group.v_basis or not group.lambda_basis:
-        return replace(group, orthogonal=True)
+        return group
     vr = _rational_v_rows(group)
     perp = rl.nullspace(vr)
     perp_points = [point_from_fractions(group.basis, w) for w in perp]
@@ -498,7 +491,7 @@ def orthogonalize(group: ClosedSubgroup) -> ClosedSubgroup:
         _combine(perp_points, y[len(vr):])
         for y in _frame_coordinates(group.lambda_basis, vr + perp, group.basis)
     )
-    return replace(group, lambda_basis=new_lam, orthogonal=True)
+    return replace(group, lambda_basis=new_lam)
 
 
 # -- hyperplane certificates -------------------------------------------------------------
@@ -637,8 +630,7 @@ def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
 
     if group.is_full():
         raise DecompositionError("Liouville holds; nothing to decompose")
-    if not group.orthogonal:
-        group = orthogonalize(group)
+    group = orthogonalize(group)
     basis = group.basis
 
     atom_items = [(a.point, a.weight) for a in mu.atoms]

@@ -23,32 +23,20 @@ class Counterexample:
     closed_form: str
     dimension: int
 
-    bounded = True
-    sup_u = 1.0
-
-    @property
-    def _frequency(self) -> float:
+    def as_function(self):
+        """U as a `SmoothFunction`: sup |U| = 1, and w^k bounds its k-th derivative,
+        w = 2 pi |n| / |<n, c>|."""
         import numpy as np
+
+        from .numerics import SmoothFunction
 
         n = np.array([float(c) for c in self.certificate.normal])
         p = float(er_dot(self.certificate.normal, self.certificate.c))
-        return 2.0 * math.pi * float(np.linalg.norm(n)) / abs(p)
-
-    @property
-    def sup_grad(self) -> float:
-        return self._frequency
-
-    @property
-    def sup_hess(self) -> float:
-        return self._frequency**2
-
-    @property
-    def sup_d3(self) -> float:
-        return self._frequency**3
-
-    @property
-    def sup_d4(self) -> float:
-        return self._frequency**4
+        w = 2.0 * math.pi * float(np.linalg.norm(n)) / abs(p)
+        return SmoothFunction(
+            self.kind, fn=self.value, exact_fn=self.value_exact,
+            sup_u=1.0, sup_grad=w, sup_hess=w**2, sup_d3=w**3, sup_d4=w**4,
+        )
 
     def coset_coordinate(self, x: Point) -> tuple[int, float]:
         """(k, t) with <n,x>/<n,c> = k + t, k integer, t in [0,1), t reduced exactly."""

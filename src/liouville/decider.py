@@ -9,8 +9,7 @@ Probe-backed answers are never certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from .closure import (
     ClosedSubgroup,
@@ -26,16 +25,21 @@ from .measures import LevyMeasure, group_support
 
 @dataclass(frozen=True)
 class LiouvilleVerdict:
-    holds: bool | None  # None = uncertified/inconclusive
-    certified: bool
+    holds: bool | None  # None = uncertified: only the probe ran
     route: str
-    dimension: int
-    closure: ClosedSubgroup | None = None
+    closure: ClosedSubgroup
     certificate: HyperplaneCertificate | None = None
     counterexample: Counterexample | None = None
-    witness: Any = None
+    witness: dict | None = None
     assumptions: tuple[str, ...] = ()
-    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def certified(self) -> bool:
+        return self.holds is not None
+
+    @property
+    def dimension(self) -> int:
+        return self.closure.dimension
 
     @property
     def verdict_word(self) -> str:
@@ -79,20 +83,7 @@ def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
     assumptions = _assumptions(mu)
     cl = closure_multid(desc, probe_config=probe_config)
     if not cl.is_certified():
-        probe = cl.probe
-        holds = None
-        return LiouvilleVerdict(
-            holds,
-            False,
-            "probe",
-            mu.dimension,
-            closure=cl,
-            diagnostics={
-                "probe_verdict": probe.verdict if probe else "unavailable",
-                "probe": probe,
-            },
-            assumptions=assumptions,
-        )
+        return LiouvilleVerdict(None, "probe", cl, assumptions=assumptions)
     if cl.is_full():
         route, witness = cl.route.value, cl.witness
         if mu.dimension == 1:
@@ -104,10 +95,7 @@ def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
             elif cl.route is Route.ACCUMULATION:
                 seq = next(s for s in mu.sequences if s.q_certification()[0] == "unbounded")
                 route, witness = "unbounded_q_sequence", _unbounded_witness(seq)
-        return LiouvilleVerdict(
-            True, True, route, mu.dimension, closure=cl, witness=witness,
-            assumptions=assumptions,
-        )
+        return LiouvilleVerdict(True, route, cl, witness=witness, assumptions=assumptions)
     return _failure_verdict(mu, cl, desc, assumptions)
 
 
@@ -117,12 +105,5 @@ def _failure_verdict(mu, cl, desc, assumptions) -> LiouvilleVerdict:
     ce = build_counterexample(cert, mu.dimension)
     route = "lattice" if not ortho.v_basis else "hyperplane"
     return LiouvilleVerdict(
-        False,
-        True,
-        route,
-        mu.dimension,
-        closure=ortho,
-        certificate=cert,
-        counterexample=ce,
-        assumptions=assumptions,
+        False, route, ortho, certificate=cert, counterexample=ce, assumptions=assumptions
     )

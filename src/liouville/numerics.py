@@ -48,7 +48,6 @@ class SmoothFunction:
     sup_hess: float = math.inf
     sup_d3: float = math.inf
     sup_d4: float = math.inf
-    bounded: bool = False
 
     def value(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -72,7 +71,6 @@ def builtin_function(name: str, dimension: int) -> SmoothFunction:
             sup_hess=1.0,
             sup_d3=1.0,
             sup_d4=1.0,
-            bounded=True,
         )
     if name == "cos2pi":
         tp = 2 * math.pi
@@ -87,7 +85,6 @@ def builtin_function(name: str, dimension: int) -> SmoothFunction:
             sup_hess=tp**2,
             sup_d3=tp**3,
             sup_d4=tp**4,
-            bounded=True,
         )
     if name == "harmonic_xy":
         if dimension < 2:
@@ -102,7 +99,6 @@ def builtin_function(name: str, dimension: int) -> SmoothFunction:
             sup_hess=2.0,
             sup_d3=0.0,
             sup_d4=0.0,
-            bounded=False,
         )
     if name == "gaussian":
         return SmoothFunction(
@@ -113,7 +109,6 @@ def builtin_function(name: str, dimension: int) -> SmoothFunction:
             sup_hess=2.0,
             sup_d3=7.0,
             sup_d4=13.0,
-            bounded=True,
         )
     raise ValueError(f"unknown builtin function {name!r}")
 
@@ -345,20 +340,15 @@ class OperatorEvaluator:
         return self._memo[key]
 
 
-def eval_operator(ev: OperatorEvaluator, u, x) -> EvalResult:
+def eval_operator(ev: OperatorEvaluator, u: SmoothFunction, x) -> EvalResult:
     """L^mu[u](x) with an error bound.
 
-    x may be a tuple of floats or an exact Point; with an exact point and an
-    exact-capable u (a Counterexample), finite atomic sums cancel exactly.
+    x may be a tuple of floats or an exact Point; with an exact point and a u with
+    an exact evaluation (e.g. `Counterexample.as_function()`), finite atomic sums
+    cancel exactly.
     """
     mu = ev.measure
-    exact_mode = (
-        isinstance(x, tuple)
-        and x
-        and isinstance(x[0], ExtendedRational)
-        and getattr(u, "exact_fn", True) is not None
-        and hasattr(u, "value_exact")
-    )
+    exact_mode = u.exact_fn is not None and isinstance(x[0], ExtendedRational)
     xf = np.array([float(c) for c in x], dtype=float)
     if ev._memo.get("guarded") is not u:
         _bounded_guard(u, mu, xf)
@@ -427,50 +417,38 @@ def _sequence_terms(seq, N: int, r0: float):
 
 def _float_sum(terms, u, x) -> float:
     """Sum of w * (u(x+a) - u(x) - a.Du(x) 1{|a| < r0}) over the float terms (w, a, |a| < r0)."""
-    ux = float(_value(u, x))
+    ux = float(u.value(x))
     g = _grad(u, x)
     s = 0.0
     for w, av, near in terms:
-        term = float(_value(u, x + av)) - ux
+        term = float(u.value(x + av)) - ux
         if near:
             term -= float(av @ g)
         s += w * term
     return s
 
 
-def _value(u, x):
-    return u.value(x) if hasattr(u, "value") else u(x)
-
-
 def _grad(u, x):
-    grad_fn = getattr(u, "grad_fn", None)
-    if grad_fn is not None:
-        return np.asarray(grad_fn(x), dtype=float)
+    if u.grad_fn is not None:
+        return np.asarray(u.grad_fn(x), dtype=float)
     h = 1e-6
     g = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        g[i] = (float(_value(u, x + e)) - float(_value(u, x - e))) / (2 * h)
+        g[i] = (float(u.value(x + e)) - float(u.value(x - e))) / (2 * h)
     return g
 
 
 def _dir2(u, x, w):
-    dir2_fn = getattr(u, "dir2_fn", None)
-    if dir2_fn is not None:
-        return float(dir2_fn(x, w))
+    if u.dir2_fn is not None:
+        return float(u.dir2_fn(x, w))
     h = 1e-5
-    return float((_value(u, x + h * w) - 2 * _value(u, x) + _value(u, x - h * w)) / h**2)
-
-
-def _sup(u, attr, default=math.inf):
-    return getattr(u, attr, default)
+    return float((u.value(x + h * w) - 2 * u.value(x) + u.value(x - h * w)) / h**2)
 
 
 def _series_constant(u, r0: float) -> float:
-    hess = _sup(u, "sup_hess")
-    uinf = _sup(u, "sup_u")
-    return max(0.5 * hess * max(1.0, r0**2), 2.0 * uinf / min(1.0, r0**2))
+    return max(0.5 * u.sup_hess * max(1.0, r0**2), 2.0 * u.sup_u / min(1.0, r0**2))
 
 
 def _bounded_guard(u, mu: LevyMeasure, x):
@@ -482,9 +460,9 @@ def _bounded_guard(u, mu: LevyMeasure, x):
     )
     if not needs_tail:
         return
-    if getattr(u, "bounded", None) is False or _sup(u, "sup_u") == math.inf:
+    if u.sup_u == math.inf:
         raise ValueError(
-            f"test function {_sup(u, 'name', '?')} is not declared bounded; "
+            f"test function {u.name} is not declared bounded; "
             "unbounded-support measures need a finite sup norm"
         )
     d = x.size
@@ -492,18 +470,18 @@ def _bounded_guard(u, mu: LevyMeasure, x):
     for radius in (10.0, 100.0, 1000.0):
         pts = rng.standard_normal((16, d))
         pts *= radius / np.linalg.norm(pts, axis=1, keepdims=True)
-        vals = np.array([abs(float(_value(u, p))) for p in pts])
-        if vals.max() > 1.001 * _sup(u, "sup_u"):
+        vals = np.array([abs(float(u.value(p))) for p in pts])
+        if vals.max() > 1.001 * u.sup_u:
             raise ValueError("sampling guard: |u| exceeds its declared sup norm")
 
 
 def _eval_sphere(ev, part: SphereSurfacePart, u, x):
     d = ev.measure.dimension
-    ux = float(_value(u, x))
+    ux = float(u.value(x))
 
     def at(count):
         pts, w = ev.memo(("sphere_nodes", d, count), lambda: sphere_nodes(d, count))
-        vals = np.asarray(_value(u, x[None, :] + part.radius * pts), dtype=float)
+        vals = np.asarray(u.value(x[None, :] + part.radius * pts), dtype=float)
         return float(np.sum(w * (vals - ux)) / sphere_area(d))
 
     v1 = at(ev.sphere_count)
@@ -566,16 +544,15 @@ class _RadialPlan:
 
 def _eval_radial(ev, plan: _RadialPlan, u, x):
     """Three-zone radial-spherical quadrature inside the span of the plan's directions."""
-    ux = float(_value(u, x))
+    ux = float(u.value(x))
     g = _grad(u, x)
 
     # zone 1: analytic Taylor core on (0, R_SWITCH]
     r_s = min(R_SWITCH, ev.r0)
     sum_dir2 = float(sum(ws * _dir2(u, x, w) for w, ws in zip(plan.dirs, plan.w_sph)))
     core = 0.5 * sum_dir2 * plan.m2
-    d3 = _sup(u, "sup_d3")
     core_bound = plan.m2_err * abs(sum_dir2) + (
-        0.0 if d3 == 0 else d3 / 6.0 * r_s * plan.m2 * float(np.sum(plan.w_sph))
+        0.0 if u.sup_d3 == 0 else u.sup_d3 / 6.0 * r_s * plan.m2 * float(np.sum(plan.w_sph))
     )
 
     slopes = [float(wdir @ g) for wdir in plan.dirs]
@@ -587,7 +564,7 @@ def _eval_radial(ev, plan: _RadialPlan, u, x):
             pts = np.empty((x.size, r.size)).T  # x + r * wdir, column-major
             for wdir, ws, slope in zip(plan.dirs, plan.w_sph, slopes):
                 np.add(x[:, None], np.multiply(wdir[:, None], r, out=pts.T), out=pts.T)
-                t = np.asarray(_value(u, pts), dtype=float) - ux
+                t = np.asarray(u.value(pts), dtype=float) - ux
                 if compensated:
                     t -= r * slope
                 t *= ws
@@ -598,8 +575,7 @@ def _eval_radial(ev, plan: _RadialPlan, u, x):
     i1, i2 = plan.inner.sums(integrand, True)
     o1, o2 = plan.outer.sums(integrand, False)
 
-    uinf = _sup(u, "sup_u")
-    tail = 2.0 * uinf * plan.mass_tail
+    tail = 2.0 * u.sup_u * plan.mass_tail
     quad_est = abs(i1 - i2) + abs(o1 - o2)
     value = core + i1 + o1
     return value, core_bound + tail + quad_est + 1e-14 * (1 + abs(value))
@@ -620,7 +596,6 @@ class PropagationState:
     """
 
     R: float
-    n: int
     sizes: list
     deltas: list
     flagged_partial: bool = False
@@ -628,6 +603,11 @@ class PropagationState:
     denominator: int = 1
     keys: list = field(default_factory=list, repr=False)
     positions: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def n(self) -> int:
+        """The number of layers run."""
+        return len(self.deltas)
 
     def csv_rows(self):
         return [(k + 1, self.sizes[k], self.deltas[k]) for k in range(len(self.deltas))]
@@ -657,7 +637,6 @@ class PropagationState:
         size = self.sizes[n - 1] if n else 1
         return PropagationState(
             R=self.R,
-            n=n,
             sizes=self.sizes[:n],
             deltas=self.deltas[:n],
             flagged_partial=self.flagged_partial and n == self.n,
@@ -706,11 +685,9 @@ def propagate(
     grid = _probe_grid(d, R, grid_div)
     dmin = _nearest(grid, layers[0], math.inf)
 
-    state = PropagationState(
-        R=R, n=0, sizes=[], deltas=[], basis=basis, denominator=denominator
-    )
+    state = PropagationState(R=R, sizes=[], deltas=[], basis=basis, denominator=denominator)
     front_keys, front_pos = list(keys), layers[0]
-    for n in range(1, n_max + 1):
+    for _ in range(n_max):
         front_keys, front_pos = _next_layer(front_keys, front_pos, step_keys, step_pos, lim, seen)
         keys.extend(front_keys)
         layers.append(front_pos)
@@ -720,7 +697,6 @@ def propagate(
             state.flagged_partial = True
         state.deltas.append(float(dmin.max()))
         state.sizes.append(len(keys))
-        state.n = n
         if state.flagged_partial:
             break
         if target_delta is not None and state.deltas[-1] <= target_delta:
@@ -786,7 +762,6 @@ class ProbeResult:
     basis_estimate: tuple | None
     deltas: tuple
     sizes: tuple
-    snap_residual: float | None
     flagged_partial: bool = False
 
 
@@ -827,7 +802,6 @@ def classify_propagation(state: PropagationState) -> ProbeResult:
         basis_est,
         tuple(deltas),
         tuple(state.sizes),
-        residual,
         state.flagged_partial,
     )
 

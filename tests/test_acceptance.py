@@ -26,7 +26,9 @@ from liouville.closure import (
 from liouville.decider import decide, decide_1d
 from liouville.exactreal import ConstantBasis, ExtendedRational
 from liouville.measures import Atom, LevyMeasure, parse_measure, point_is_zero, support_of, validate_measure
-from liouville.numerics import OperatorEvaluator, builtin_function, density_probe, eval_operator, propagate
+from liouville.numerics import (
+    OperatorEvaluator, SmoothFunction, builtin_function, density_probe, eval_operator, propagate,
+)
 from conftest import PI_50, check_periodicity, spec_path
 
 from test_ratlinalg import bfs_span_in_box
@@ -273,7 +275,7 @@ def test_criterion_6_counterexample_annihilation(failed_verdicts):
     # exact atomic annihilation at 100 seeded rational points per verdict
     sample = failed_verdicts[:: max(1, len(failed_verdicts) // 40)]
     for mu, verdict in sample:
-        ce = verdict.counterexample
+        u = verdict.counterexample.as_function()
         ev = OperatorEvaluator(measure=mu)
         basis = mu.basis
         for _ in range(100):
@@ -281,7 +283,7 @@ def test_criterion_6_counterexample_annihilation(failed_verdicts):
                 basis.from_rational(Fraction(rng.randint(-4000, 4000), rng.randint(1, 50)))
                 for _ in range(mu.dimension)
             )
-            res = eval_operator(ev, ce, x)
+            res = eval_operator(ev, u, x)
             assert res.value == 0.0, (res.value, verdict.route)
         checked += 1
     # affine-supported case under quadrature
@@ -291,8 +293,9 @@ def test_criterion_6_counterexample_annihilation(failed_verdicts):
     ev = OperatorEvaluator(measure=mu)
     rng2 = np.random.default_rng(7)
     worst = 0.0
+    u = v.counterexample.as_function()
     for p in rng2.uniform(-3, 3, size=(10, 2)):
-        res = eval_operator(ev, v.counterexample, tuple(p))
+        res = eval_operator(ev, u, tuple(p))
         worst = max(worst, abs(res.value))
     assert worst < 1e-8, worst
     report(
@@ -376,17 +379,11 @@ def test_criterion_9_periodicity_coherence():
     # perturbed control: fails periodicity and is not annihilated
     mu = load("discrete_laplacian.yaml")
 
-    class Control:
-        bounded = True
-        sup_u = 2.0
-        name = "control"
+    def control(x):
+        t = x[..., 0]
+        return np.cos(2 * np.pi * t) + np.exp(-(t**2))
 
-        def value(self, x):
-            x = np.asarray(x, dtype=float)
-            t = x[..., 0]
-            return np.cos(2 * np.pi * t) + np.exp(-(t**2))
-
-    ctrl = Control()
+    ctrl = SmoothFunction("control", fn=control, sup_u=2.0)
     ok, dev = check_periodicity(
         ctrl.value, [(1.0,)], [(x,) for x in np.linspace(-2, 2, 41)], 1e-12
     )

@@ -373,3 +373,15 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
         assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+class TestLogLevel:
+    def test_unknown_level_is_an_input_error(self):
+        env = dict(os.environ, PYTHONPATH=SRC, LIOUVILLE_LOG="verbose")
+        proc = subprocess.run(
+            [sys.executable, "-m", "liouville.cli", "decide", spec_path("discrete_laplacian.yaml")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_INPUT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: LIOUVILLE_LOG names no logging level: 'VERBOSE'"]

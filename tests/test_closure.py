@@ -236,12 +236,9 @@ class TestOrthogonalize:
             basis=plain_basis,
             v_basis=(point_from_fractions(plain_basis, [1, 0]),),
             lambda_basis=(point_from_fractions(plain_basis, [1, 1]),),
-            orthogonal=False,
-            provenance="exact",
             route="test",
         )
         out = orthogonalize(group)
-        assert out.orthogonal
         assert [c.as_rational() for c in out.lambda_basis[0]] == [0, 1]
 
     def test_already_orthogonal_identity(self, plain_basis):
@@ -250,8 +247,6 @@ class TestOrthogonalize:
             basis=plain_basis,
             v_basis=(point_from_fractions(plain_basis, [1, 0]),),
             lambda_basis=(point_from_fractions(plain_basis, [0, 3]),),
-            orthogonal=False,
-            provenance="exact",
             route="test",
         )
         out = orthogonalize(group)
@@ -263,8 +258,6 @@ class TestOrthogonalize:
             basis=plain_basis,
             v_basis=(),
             lambda_basis=(point_from_fractions(plain_basis, [2, 1]),),
-            orthogonal=False,
-            provenance="exact",
             route="test",
         )
         assert orthogonalize(group).lambda_basis == group.lambda_basis
@@ -279,8 +272,6 @@ class TestOrthogonalize:
                 point_from_fractions(plain_basis, [1, 1, 1]),
                 point_from_fractions(plain_basis, [0, 3, 2]),
             ),
-            orthogonal=False,
-            provenance="exact",
             route="test",
         )
         out = orthogonalize(group)
@@ -482,7 +473,7 @@ class TestDecompose:
                 scale = [0, 0, 0]
                 scale[rng.randrange(3)] = 1
                 lam.append(tuple(er(basis, *(x * s for s in scale)) for x in vec))
-            group = ClosedSubgroup(d, basis, (), tuple(lam), True, "exact", Route.LATTICE)
+            group = ClosedSubgroup(d, basis, (), tuple(lam), Route.LATTICE)
             # the brute force searches a box strictly wider than one holding every shortest vector
             flt = [[float(c) for c in v] for v in lam]
             G = [[math.fsum(a * b for a, b in zip(u, v)) for v in flt] for u in flt]
@@ -495,7 +486,7 @@ class TestDecompose:
         lam = ((er(basis, 1, 0), er(basis, 0, 0)), (er(basis, 0, 0), er(basis, 0, 1)))
         with pytest.raises(NotRepresentableError):
             er_dot(lam[1], lam[1])
-        group = ClosedSubgroup(2, basis, (), lam, True, "exact", Route.LATTICE)
+        group = ClosedSubgroup(2, basis, (), lam, Route.LATTICE)
         assert _separation(group) == 1.0
         assert _separation(replace(group, lambda_basis=lam[1:])) == math.sqrt(2.0)
         assert _separation(replace(group, lambda_basis=())) == math.inf
@@ -791,7 +782,7 @@ class TestDecomposeRegressions:
 def gram_orthogonalize(group):
     """Reference: a - V x with G x = <V, a> solved for each constant slice (G = V V^T)."""
     if not group.v_basis or not group.lambda_basis:
-        return replace(group, orthogonal=True)
+        return group
     zero, m = group.basis.zero(), group.basis.size + 1
     vr = [[c.coords[0] for c in v] for v in group.v_basis]
     G = [[sum(a * b for a, b in zip(u, w)) for w in vr] for u in vr]
@@ -802,7 +793,7 @@ def gram_orthogonalize(group):
         x = [ExtendedRational(group.basis, tuple(sol[t] for sol in sols)) for t in range(len(vr))]
         proj = [sum((xt.scale(v[i]) for xt, v in zip(x, vr)), zero) for i in range(group.dimension)]
         new_lam.append(tuple(ac - pc for ac, pc in zip(a, proj)))
-    return replace(group, lambda_basis=tuple(new_lam), orthogonal=True)
+    return replace(group, lambda_basis=tuple(new_lam))
 
 
 def block_coset_coordinates(p, group):
@@ -829,7 +820,7 @@ def block_coset_coordinates(p, group):
 def subgroup(basis, v_basis, lambda_basis):
     return ClosedSubgroup(
         dimension=len((v_basis + lambda_basis)[0]), basis=basis, v_basis=tuple(v_basis),
-        lambda_basis=tuple(lambda_basis), orthogonal=False, provenance="exact", route="test",
+        lambda_basis=tuple(lambda_basis), route="test",
     )
 
 
@@ -889,6 +880,7 @@ class TestFrameCoordinates:
         for group in self.orthogonalize_cases(plain_basis, sqrt23_basis):
             ortho = orthogonalize(group)
             assert ortho == gram_orthogonalize(group)
+            assert orthogonalize(ortho) == ortho  # decompose_measure relies on idempotence
             probes = list(group.lambda_basis) + list(ortho.lambda_basis) + [
                 tuple(c.scale(Fraction(1, 2)) for c in lam) for lam in group.lambda_basis
             ] + [point_from_fractions(group.basis, [int(i == j) for i in range(group.dimension)])

@@ -8,7 +8,7 @@ from liouville.closure import HyperplaneCertificate, closure_1d, closure_multid,
 from liouville.counterexample import CounterexampleError, build_counterexample
 from liouville.decider import decide
 from liouville.measures import parse_measure, support_of
-from liouville.numerics import OperatorEvaluator, eval_operator
+from liouville.numerics import OperatorEvaluator, SmoothFunction, eval_operator
 from conftest import check_periodicity, er, spec_path
 
 
@@ -109,9 +109,10 @@ class TestAnnihilationRoundTrip:
         ce = v.counterexample
         ev = OperatorEvaluator(measure=mu)
         basis = mu.basis
+        u = ce.as_function()
         for k in range(20):
             x = (basis.from_rational(Fraction(2 * k + 1, 17)),)
-            res = eval_operator(ev, ce, x)
+            res = eval_operator(ev, u, x)
             assert res.value == 0.0
         ok, _ = check_periodicity(
             ce.value, [(1.0,)], [(x,) for x in np.linspace(-2, 2, 40)], 1e-12
@@ -121,17 +122,11 @@ class TestAnnihilationRoundTrip:
     def test_non_periodic_control_fails_both(self):
         mu = load("discrete_laplacian.yaml")
 
-        class Bump:
-            bounded = True
-            sup_u = 2.0
-            name = "control"
+        def bump(x):
+            t = x[..., 0]
+            return np.cos(2 * np.pi * t) + np.exp(-(t**2))
 
-            def value(self, x):
-                x = np.asarray(x, dtype=float)
-                t = x[..., 0]
-                return np.cos(2 * np.pi * t) + np.exp(-(t**2))
-
-        u = Bump()
+        u = SmoothFunction("control", fn=bump, sup_u=2.0)
         ev = OperatorEvaluator(measure=mu)
         res = eval_operator(ev, u, (0.0,))
         assert abs(res.value) > 1e-3  # operator does not annihilate

@@ -205,6 +205,7 @@ class TestInvariances:
         ):
             v = decide(load(name))
             assert v.certified
+            assert v.certified == v.closure.is_certified()
             assert v.holds != (v.certificate is not None)
             if v.holds:
                 assert v.closure.is_full()
@@ -267,7 +268,8 @@ class TestRoutesMultiD:
         assert v.certified is False
         assert v.holds is None
         assert v.route == "probe"
-        assert "probe_verdict" in v.diagnostics
+        assert v.certified == v.closure.is_certified()
+        assert v.closure.probe is not None
 
 
 from hypothesis import given, settings

@@ -10,6 +10,7 @@ from liouville import numerics
 from liouville.measures import parse_measure, support_of
 from liouville.numerics import (
     OperatorEvaluator,
+    SmoothFunction,
     builtin_function,
     density_probe,
     eval_operator,
@@ -133,18 +134,10 @@ class TestAtomicSums:
         ev = OperatorEvaluator(measure=mu)
         u = builtin_function("gaussian", 1)
 
-        class Shifted:
-            bounded = True
-            sup_u = 1.0
-            sup_grad = 1.0
-            sup_hess = 2.0
-            name = "shifted_gaussian"
-
-            def value(self, x):
-                x = np.asarray(x, dtype=float)
-                return np.exp(-((x[..., 0] - 0.4) ** 2))
-
-        psi = Shifted()
+        psi = SmoothFunction(
+            "shifted_gaussian", fn=lambda x: np.exp(-((x[..., 0] - 0.4) ** 2)),
+            sup_u=1.0, sup_grad=1.0, sup_hess=2.0,
+        )
         xs = np.linspace(-12, 12, 961)
         h = xs[1] - xs[0]
         lu = np.array([eval_operator(ev, u, (float(x),)).value for x in xs])
@@ -189,11 +182,11 @@ class TestAffine:
         from liouville.decider import decide
 
         v = decide(mu)
-        ce = v.counterexample
+        u = v.counterexample.as_function()
         ev = OperatorEvaluator(measure=mu)
         rng = np.random.default_rng(5)
         for p in rng.uniform(-3, 3, size=(5, 2)):
-            res = eval_operator(ev, ce, tuple(p))
+            res = eval_operator(ev, u, tuple(p))
             assert abs(res.value) < 1e-8
 
 
@@ -459,7 +452,7 @@ class TestReusePerEvaluator:
 def _per_direction_radial(ev, plan, u, x):
     """The radial quadrature with one C-ordered (m, d) point buffer per direction over
     every radius of a zone: the evaluation order before blocking, kept as an oracle."""
-    ux = float(numerics._value(u, x))
+    ux = float(u.value(x))
     g = numerics._grad(u, x)
     r_s = min(numerics.R_SWITCH, ev.r0)
     sum_dir2 = float(sum(ws * numerics._dir2(u, x, w) for w, ws in zip(plan.dirs, plan.w_sph)))
@@ -473,7 +466,7 @@ def _per_direction_radial(ev, plan, u, x):
         pts = np.empty((radii.size, x.size))
         for wdir, ws in zip(plan.dirs, plan.w_sph):
             np.add(x, np.multiply(radii[:, None], wdir, out=pts), out=pts)
-            vals = np.asarray(numerics._value(u, pts), dtype=float)
+            vals = np.asarray(u.value(pts), dtype=float)
             if compensated:
                 acc += ws * (vals - ux - radii * float(wdir @ g))
             else:
