@@ -138,8 +138,6 @@ def _verdict_report(text, verdict, args) -> Report:
             elif k == "c":
                 for c in v:
                     s.add("kronecker_c", format_point(c))
-            elif k == "dependency":
-                s.add("dependency", [str(x) for x in v])
             elif k == "accumulation_points":
                 for p in v:
                     s.add("accumulation_point", format_point(p))

@@ -222,7 +222,7 @@ def lattice_hnf(generators) -> tuple[Point, ...]:
 # -- multi-d closure ---------------------------------------------------------------
 
 
-def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgroup:
+def closure_multid(support: SupportDescriptor) -> ClosedSubgroup:
     """Exact closure V + lattice of the generated group; probe fallback otherwise."""
     d = support.dimension
     if d == 1:
@@ -235,7 +235,7 @@ def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgr
     # V from the dense directions, rationalized so reductions stay exact
     splits = [scalar_direction_split(v) for v in support.directions]
     if None in splits:
-        return _probe_closure(basis, support, probe_config)
+        return _probe_closure(basis, support)
     v_span = _rational_span_basis([w for _, w in splits])
     if len(v_span) == d:
         return ClosedSubgroup(d, basis, full_v, (), Route.INTERVAL_OR_BALL)
@@ -248,7 +248,7 @@ def closure_multid(support: SupportDescriptor, probe_config=None) -> ClosedSubgr
         points = [p for p in reduced if not point_is_zero(p)]
     inner = _points_closure(basis, d - len(v_span), points)
     if inner is None:
-        return _probe_closure(basis, support, probe_config)
+        return _probe_closure(basis, support)
     v_basis, lam, route, witness = inner
     if v_span:
         comp_points = [point_from_fractions(basis, w) for w in comp]
@@ -452,18 +452,12 @@ def _combine(comp_points, coeffs: Point) -> Point:
     return tuple(out)
 
 
-def _probe_closure(basis, support, probe_config) -> ClosedSubgroup:
+def _probe_closure(basis, support) -> ClosedSubgroup:
     from . import numerics
 
     result = None
     if support.finite_points:
-        cfg = probe_config or {}
-        result = numerics.density_probe(
-            support.finite_points,
-            R=cfg.get("R", 3.0),
-            n_max=cfg.get("n_max", 30),
-            grid_div=cfg.get("grid_div", 100),
-        )
+        result = numerics.density_probe(support.finite_points, R=3.0, n_max=30, grid_div=100)
     return ClosedSubgroup(support.dimension, basis, (), (), Route.PROBE, probe=result)
 
 

@@ -21,7 +21,6 @@ class Counterexample:
     kind: str  # "cosine_1d" | "cosine_coset"
     certificate: HyperplaneCertificate
     closed_form: str
-    dimension: int
 
     def as_function(self):
         """U as a `SmoothFunction`: sup |U| = 1, and w^k bounds its k-th derivative,
@@ -71,8 +70,8 @@ def build_counterexample(cert: HyperplaneCertificate, dimension: int) -> Counter
     if dimension == 1:
         g = cert.c[0]
         form = f"cos(2*pi*x/({format_coordinate(g)}))"
-        return Counterexample("cosine_1d", cert, form, 1)
+        return Counterexample("cosine_1d", cert, form)
     nstr = ", ".join(format_coordinate(c) for c in cert.normal)
     pstr = format_coordinate(pairing)
     form = f"cos(2*pi*<({nstr}), x>/({pstr}))"
-    return Counterexample("cosine_coset", cert, form, dimension)
+    return Counterexample("cosine_coset", cert, form)

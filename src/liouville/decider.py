@@ -77,11 +77,11 @@ def decide_1d(mu: LevyMeasure) -> LiouvilleVerdict:
     return decide(mu)
 
 
-def decide(mu: LevyMeasure, probe_config=None) -> LiouvilleVerdict:
+def decide(mu: LevyMeasure) -> LiouvilleVerdict:
     """Any dimension: dense closure iff the Liouville property holds."""
     desc = group_support(mu)
     assumptions = _assumptions(mu)
-    cl = closure_multid(desc, probe_config=probe_config)
+    cl = closure_multid(desc)
     if not cl.is_certified():
         return LiouvilleVerdict(None, "probe", cl, assumptions=assumptions)
     if cl.is_full():

@@ -276,7 +276,9 @@ class PolyRatioSequence(_Template):
                 f"sequence accumulation mismatch: template gives {acc}, "
                 f"declared {self.declared_accumulation}"
             )
-        if self.levy_mass_bound() == math.inf:
+        # sum (|a_n|^2 ^ 1) w_n converges when the points decay (|a_n| <= C/n) or when
+        # the weights are summable
+        if self.decay_order() <= 0 and self.weights.total_bound() == math.inf:
             raise MeasureSpecError(
                 "divergent Levy integral: weights must be summable for this template"
             )
@@ -289,20 +291,6 @@ class PolyRatioSequence(_Template):
         n1 = int(2 * sum(abs(c) for c in den) / abs(den[-1])) + 1
         scan = max(abs(float(self.scalar(n))) * n**d for n in range(1, n1 + 1))
         return max(scan, tail)
-
-    def levy_mass_bound(self) -> float:
-        """Closed-form upper bound for sum over n of (|a_n|^2 ^ 1) * w_n."""
-        dirn = math.sqrt(sum(float(c) ** 2 for c in self.direction))
-        d = self.decay_order()
-        if d <= 0:
-            return self.weights.total_bound()
-        C = self._decay_coefficient() * dirn
-        # (|a_n|^2 ^ 1) <= min(C^2/n^{2d}, 1); split the sum at n* = ceil(C^{1/d})
-        nstar = max(1, math.ceil(C ** (1.0 / d)))
-        head = float(sum(self.weight(n) for n in range(1, nstar + 1)))
-        wmax = float(self.weight(nstar))  # weights are nonincreasing
-        tail = C * C * wmax * nstar ** (1 - 2 * d) / (2 * d - 1)
-        return head + tail
 
     def levy_tail_bound(self, n0: int) -> float:
         """Upper bound for sum over n > n0 of (|a_n|^2 ^ 1) * w_n."""
@@ -375,9 +363,6 @@ class GeometricSequence(_Template):
             raise MeasureSpecError("sequence direction must be nonzero")
         if self.declared_accumulation != Fraction(0):
             raise MeasureSpecError("geometric sequences accumulate at 0; declare it")
-
-    def levy_mass_bound(self) -> float:
-        return self.levy_tail_bound(0)
 
     def levy_tail_bound(self, n0: int) -> float:
         dirn = math.sqrt(sum(float(x) ** 2 for x in self.direction))

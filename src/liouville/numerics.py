@@ -10,16 +10,14 @@ bound: analytic tails plus embedded half-resolution quadrature estimates.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy import special
 
-from .exactreal import ConstantBasis, ExtendedRational, basis_floats, floor_split
+from .exactreal import ExtendedRational, basis_floats, floor_split
 from .measures import (
     AffinePart,
     AnyContinuous,
@@ -305,6 +303,9 @@ class EvalResult:
 
 
 R_SWITCH = 1e-4  # outer radius of the analytic Taylor core of every radial kernel
+_OUTER_STEP = 0.05  # Simpson step of the outer zone, from r0 to the kernel's cut
+_OUTER_RADIUS = 1e4  # the outer zone's cut for a kernel with a heavy tail (kernel.outer_cut)
+_SPHERE_COUNT = 64  # nodes per circle of the sphere rules (sphere_nodes)
 _BLOCK = 4096  # radii per pass of the radial quadrature: a pass's point buffer stays in cache
 
 
@@ -319,10 +320,7 @@ class OperatorEvaluator:
     measure: LevyMeasure
     r0: float = 1.0
     nodes_per_decade: int = 64
-    outer_step: float = 0.05
-    outer_radius: float = 1e4
     truncation: int | None = None
-    sphere_count: int = 64
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -484,8 +482,8 @@ def _eval_sphere(ev, part: SphereSurfacePart, u, x):
         vals = np.asarray(u.value(x[None, :] + part.radius * pts), dtype=float)
         return float(np.sum(w * (vals - ux)) / sphere_area(d))
 
-    v1 = at(ev.sphere_count)
-    v2 = at(max(8, ev.sphere_count // 2))
+    v1 = at(_SPHERE_COUNT)
+    v2 = at(max(8, _SPHERE_COUNT // 2))
     return v1, abs(v1 - v2) + 1e-14 * (1 + abs(ux))
 
 
@@ -527,8 +525,8 @@ class _RadialPlan:
         else:
             kdim = ev.measure.dimension
             frame, kern = np.eye(kdim), _RadialKernel(part, kdim)
-        dirs, self.w_sph = ev.memo(("sphere_nodes", kdim, ev.sphere_count),
-                                   lambda: sphere_nodes(kdim, ev.sphere_count))
+        dirs, self.w_sph = ev.memo(("sphere_nodes", kdim, _SPHERE_COUNT),
+                                   lambda: sphere_nodes(kdim, _SPHERE_COUNT))
         self.dirs = dirs @ frame.T  # rows: directions in the part's span, embedded in R^d
         self.kdim = kdim
         r_s = min(R_SWITCH, ev.r0)
@@ -536,9 +534,9 @@ class _RadialPlan:
         half_per_decade = max(8, ev.nodes_per_decade // 2)
         self.inner = _Zone(kern, _Simpson.log_spaced(r_s, ev.r0, ev.nodes_per_decade),
                            _Simpson.log_spaced(r_s, ev.r0, half_per_decade))
-        r_cut = kern.outer_cut(ev.outer_radius)
-        self.outer = _Zone(kern, _Simpson.linear(ev.r0, r_cut, ev.outer_step),
-                           _Simpson.linear(ev.r0, r_cut, ev.outer_step * 2))
+        r_cut = kern.outer_cut(_OUTER_RADIUS)
+        self.outer = _Zone(kern, _Simpson.linear(ev.r0, r_cut, _OUTER_STEP),
+                           _Simpson.linear(ev.r0, r_cut, _OUTER_STEP * 2))
         self.mass_tail = kern.mass_tail(r_cut)
 
 
@@ -588,20 +586,15 @@ def _eval_radial(ev, plan: _RadialPlan, u, x):
 class PropagationState:
     """Iterated sets A_{n+1} = A_n + supp, kept as a growing union in a window.
 
-    Points are stored in insertion order (the origin, then each layer) twice:
-    `keys` holds them exactly, as integer vectors over the common denominator
-    `denominator` of the steps (coordinate i, basis element k at index
-    i*(m+1) + k), and `positions` (shape (size, d)) holds their float values,
-    each the sum of the step floats along the path that first reached it.
+    `positions` (shape (size, d)) holds the reached points in insertion order (the
+    origin, then each layer), each the sum of the step floats along the path that
+    first reached it.
     """
 
     R: float
     sizes: list
     deltas: list
     flagged_partial: bool = False
-    basis: ConstantBasis | None = None
-    denominator: int = 1
-    keys: list = field(default_factory=list, repr=False)
     positions: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -611,21 +604,6 @@ class PropagationState:
 
     def csv_rows(self):
         return [(k + 1, self.sizes[k], self.deltas[k]) for k in range(len(self.deltas))]
-
-    @functools.cached_property
-    def points(self):
-        """The reached points as tuples of ExtendedRational, in insertion order."""
-        width = self.basis.size + 1
-        return [
-            tuple(
-                ExtendedRational(
-                    self.basis,
-                    tuple(Fraction(c, self.denominator) for c in key[i : i + width]),
-                )
-                for i in range(0, len(key), width)
-            )
-            for key in self.keys
-        ]
 
     def prefix(self, layers: int) -> "PropagationState":
         """The state after the first `layers` layers (at most all of them).
@@ -640,9 +618,6 @@ class PropagationState:
             sizes=self.sizes[:n],
             deltas=self.deltas[:n],
             flagged_partial=self.flagged_partial and n == self.n,
-            basis=self.basis,
-            denominator=self.denominator,
-            keys=self.keys[:size],
             positions=self.positions[:size],
         )
 
@@ -653,13 +628,16 @@ def propagate(
     n_max: int = 40,
     target_delta: float | None = None,
     grid_div: int = 200,
-    cap: int = 5_000_000,
 ) -> PropagationState:
     """Minkowski-sum iteration with exact deduplication and covering radii.
 
     Each layer adds every step to every point of the previous layer, keeps the
     candidates within R + the longest step of the origin, and of those the first in
-    (frontier, step) order for each exact point not reached before.
+    (frontier, step) order for each exact point not reached before.  A point is
+    known exactly by its key, an integer vector over the common denominator of the
+    steps (coordinate i, basis element k at index i*(m+1) + k); the keys serve only
+    to deduplicate and are not kept.  The run stops, flagged partial, after the
+    layer that takes it past _POINT_CAP points.
     """
     if not support_points:
         raise ValueError("propagate needs a nonempty finite support")
@@ -679,33 +657,32 @@ def propagate(
     )
     lim = R + max(float(np.linalg.norm(v)) for v in step_pos)
 
-    keys = [(0,) * (d * (basis.size + 1))]
-    seen = set(keys)
+    front_keys = [(0,) * (d * (basis.size + 1))]
+    seen = set(front_keys)
     layers = [np.zeros((1, d))]
     grid = _probe_grid(d, R, grid_div)
     dmin = _nearest(grid, layers[0], math.inf)
 
-    state = PropagationState(R=R, sizes=[], deltas=[], basis=basis, denominator=denominator)
-    front_keys, front_pos = list(keys), layers[0]
+    state = PropagationState(R=R, sizes=[], deltas=[])
+    front_pos = layers[0]
     for _ in range(n_max):
         front_keys, front_pos = _next_layer(front_keys, front_pos, step_keys, step_pos, lim, seen)
-        keys.extend(front_keys)
         layers.append(front_pos)
         if front_keys:
             dmin = np.minimum(dmin, _nearest(grid, front_pos, dmin.max()))
-        if len(keys) > cap:
+        if len(seen) > _POINT_CAP:
             state.flagged_partial = True
         state.deltas.append(float(dmin.max()))
-        state.sizes.append(len(keys))
+        state.sizes.append(len(seen))
         if state.flagged_partial:
             break
         if target_delta is not None and state.deltas[-1] <= target_delta:
             break
-    state.keys = keys
     state.positions = np.concatenate(layers)
     return state
 
 
+_POINT_CAP = 5_000_000  # points after which propagate stops, flagged partial
 _CANDIDATES_PER_PASS = 1 << 16  # bounds the temporary arrays of one numpy pass
 
 
@@ -761,8 +738,6 @@ class ProbeResult:
     g_estimate: float | None
     basis_estimate: tuple | None
     deltas: tuple
-    sizes: tuple
-    flagged_partial: bool = False
 
 
 def density_probe(
@@ -796,14 +771,7 @@ def classify_propagation(state: PropagationState) -> ProbeResult:
         verdict, g_est, basis_est = "dense-likely", None, None
     else:
         verdict, g_est, basis_est = "inconclusive", None, None
-    return ProbeResult(
-        verdict,
-        g_est,
-        basis_est,
-        tuple(deltas),
-        tuple(state.sizes),
-        state.flagged_partial,
-    )
+    return ProbeResult(verdict, g_est, basis_est, tuple(deltas))
 
 
 def _lattice_fit(pts: np.ndarray):

@@ -223,7 +223,7 @@ class TestClosureMultid:
             pts.append(p)
             pts.append(tuple(-c for c in p))
         d = SupportDescriptor(dimension=2, finite_points=tuple(pts))
-        cl = closure_multid(d, probe_config={"R": 2.0, "n_max": 6, "grid_div": 40})
+        cl = closure_multid(d)
         assert not cl.is_certified()
         assert cl.probe is not None
 

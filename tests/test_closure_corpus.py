@@ -53,7 +53,6 @@ from conftest import SPEC_DIR, SQRT2_50, SQRT3_50
 BASIS = ConstantBasis(("sqrt2", "sqrt3"), (SQRT2_50, SQRT3_50))
 SLOTS = 3  # basis slots: 1, sqrt2, sqrt3
 SEED = 20261018
-FAST_PROBE = {"R": 1.0, "n_max": 2, "grid_div": 10}
 
 
 def _rat(rng, num=4, den=3):
@@ -197,7 +196,7 @@ def test_planted_fails_are_certified_and_contain_their_generators():
         _, xi, a = plant
         d = len(points[0])
         mu = measure_of(points, d)
-        v = decide(mu, probe_config=FAST_PROBE)
+        v = decide(mu)
         assert v.certified and v.holds is False, name
         _validate_certificate(v.certificate, support_of(mu))
         group = v.closure
@@ -225,7 +224,7 @@ atoms:
 
 def test_skewed_3d_lattice_is_certified_and_decomposed():
     mu = parse_measure(SKEWED_3D)
-    v = decide(mu, probe_config=FAST_PROBE)
+    v = decide(mu)
     assert v.certified and v.holds is False
     _validate_certificate(v.certificate, support_of(mu))
     xi_point = tuple(mu.basis.from_rational(x) for x in (-2, 1, 1))
@@ -244,7 +243,7 @@ def test_planted_holds_are_certified():
     for name, points, plant in CASES:
         if plant[0] != "holds":
             continue
-        v = decide(measure_of(points, len(points[0])), probe_config=FAST_PROBE)
+        v = decide(measure_of(points, len(points[0])))
         assert v.certified and v.holds is True, name
         assert v.closure.is_full(), name
 
@@ -271,7 +270,7 @@ def closure_command_group(monkeypatch, mu):
 
 def assert_closure_agrees_with_decide(monkeypatch, mu, name):
     group = closure_command_group(monkeypatch, mu)
-    v = decide(mu, probe_config=FAST_PROBE)
+    v = decide(mu)
     assert group.is_full() == (v.holds is True), name
     if v.holds is False:
         assert orthogonalize(group) == v.closure, name

@@ -264,7 +264,7 @@ class TestRoutesMultiD:
                 atoms=tuple(Atom(p, sqrt23_basis.one()) for p in pts),
             )
         )
-        v = decide(mu, probe_config={"R": 2.0, "n_max": 6, "grid_div": 40})
+        v = decide(mu)
         assert v.certified is False
         assert v.holds is None
         assert v.route == "probe"

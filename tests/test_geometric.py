@@ -71,7 +71,6 @@ def test_levy_tail_bound_bounds_the_tail():
         )
         assert tail <= seq.levy_tail_bound(n0)
         assert seq.levy_tail_bound(n0) <= 2 * tail  # not vacuous either
-    assert seq.levy_tail_bound(0) <= seq.levy_mass_bound()
 
 
 def test_decide_holds_by_accumulation():

@@ -1,6 +1,8 @@
 import glob
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from liouville.measures import (
 )
 from conftest import PI_50, SPEC_DIR, spec_path
 
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 PROBE_INPUT = os.path.join(os.path.dirname(__file__), "golden", "probe_products.yaml")
 
 
@@ -391,7 +394,8 @@ class TestSequenceTemplates:
     def test_partial_sums_monotone_and_bounded(self):
         mu = load("reciprocal_sequence.yaml")
         seq = mu.sequences[0]
-        bound = seq.levy_mass_bound()
+        # the first term plus the tail bound past it
+        bound = float(min(seq.scalar(1) ** 2, Fraction(1)) * seq.weight(1)) + seq.levy_tail_bound(1)
         partial = Fraction(0)
         last = -1.0
         for n in range(1, 101):
@@ -404,7 +408,7 @@ class TestSequenceTemplates:
     def test_growth_template_bound(self):
         mu = load("growing_sequence.yaml")
         seq = mu.sequences[0]
-        bound = seq.levy_mass_bound()
+        bound = float(min(seq.scalar(1) ** 2, Fraction(1)) * seq.weight(1)) + seq.levy_tail_bound(1)
         partial = sum(
             float(min(seq.scalar(n) ** 2, Fraction(1)) * seq.weight(n)) for n in range(1, 1001)
         )
@@ -457,7 +461,23 @@ class TestSequenceTemplates:
         )
         seq.validate()
         assert seq.q_certification()[0] == "accumulation"
-        assert seq.levy_mass_bound() < math.inf
+        assert seq.levy_tail_bound(0) < math.inf
+
+    def test_large_coefficient_decides_in_time(self, tmp_path):
+        # points 10^5/n with weights 1/n^2: the Levy integral is finite because the points
+        # decay, and deciding that must not cost a sum over n <= 10^5 exact weights
+        path = tmp_path / "large_coefficient.yaml"
+        path.write_text(
+            "dimension: 1\nsequences:\n  - template: poly_ratio\n"
+            '    numerator: ["100000"]\n    denominator: ["0", "1"]\n'
+            '    weights: {kind: power, c: "1", s: 2}\n    truncation: 10\n    accumulation: "0"\n'
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "liouville.cli", "decide", str(path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: holds" in proc.stdout.splitlines()
 
 
 def _unit_direction():

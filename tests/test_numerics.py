@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from liouville.exactreal import ConstantBasis, ExtendedRational
+from liouville.exactreal import ConstantBasis
 from liouville import numerics
 from liouville.measures import parse_measure, support_of
 from liouville.numerics import (
@@ -195,8 +195,7 @@ class TestPropagate:
         state = propagate(points_1d(plain_basis, er(plain_basis, 1)), R=5.0, n_max=12)
         assert state.deltas[:5] == pytest.approx([4.0, 3.0, 2.0, 1.0, 0.5])
         assert state.deltas[5:] == pytest.approx([0.5] * 7)
-        xs = sorted(float(p[0]) for p in state.points)
-        assert xs == pytest.approx(list(range(-6, 7)))
+        assert sorted(state.positions[:, 0].tolist()) == pytest.approx(list(range(-6, 7)))
 
     def test_sqrt2_reaches_five_percent_by_17(self, sqrt2_basis):
         pts = points_1d(sqrt2_basis, er(sqrt2_basis, 1, 0), er(sqrt2_basis, 0, 1))
@@ -215,13 +214,18 @@ class TestPropagate:
     def test_group_containment(self, sqrt2_basis):
         pts = points_1d(sqrt2_basis, er(sqrt2_basis, 1, 0), er(sqrt2_basis, 0, 1))
         state = propagate(pts, R=3.0, n_max=8)
-        for p in state.points[:200]:
-            q0, q1 = p[0].coords
-            assert q0.denominator == 1 and q1.denominator == 1
+        # every point is a + b sqrt2 with |a| + |b| <= 8 layers, reached once
+        group = np.array([a + b * math.sqrt(2) for a in range(-8, 9) for b in range(-8, 9)
+                          if abs(a) + abs(b) <= 8])
+        xs = state.positions[:, 0]
+        assert len(xs) == state.sizes[-1]
+        assert np.abs(xs[:, None] - group[None, :]).min(axis=1).max() < 1e-12
+        assert np.diff(np.sort(xs)).min() > 1e-12
 
-    def test_cap_flags_partial_result(self, sqrt2_basis):
+    def test_cap_flags_partial_result(self, sqrt2_basis, monkeypatch):
+        monkeypatch.setattr(numerics, "_POINT_CAP", 50)
         pts = points_1d(sqrt2_basis, er(sqrt2_basis, 1, 0), er(sqrt2_basis, 0, 1))
-        state = propagate(pts, R=5.0, n_max=40, cap=50)
+        state = propagate(pts, R=5.0, n_max=40)
         assert state.flagged_partial
         assert state.n < 40
 
@@ -254,8 +258,6 @@ class TestPropagate:
 
         assert state.sizes == sizes
         assert state.deltas == deltas
-        assert all(len(p) == 1 and isinstance(p[0], ExtendedRational) for p in state.points)
-        assert [p[0].as_rational() for p in state.points] == list(reached)
         assert state.positions[:, 0].tolist() == list(reached.values())
 
     def test_blocked_numpy_passes_match_one_pass(self, sqrt2_basis, monkeypatch):
@@ -263,7 +265,7 @@ class TestPropagate:
         whole = propagate(pts, R=5.0, n_max=15)
         monkeypatch.setattr(numerics, "_CANDIDATES_PER_PASS", 6)
         blocked = propagate(pts, R=5.0, n_max=15)
-        assert (blocked.sizes, blocked.deltas, blocked.keys) == (whole.sizes, whole.deltas, whole.keys)
+        assert (blocked.sizes, blocked.deltas) == (whole.sizes, whole.deltas)
         assert blocked.positions.tolist() == whole.positions.tolist()
 
     def test_prefix_is_the_shorter_run(self, sqrt2_basis):
@@ -277,7 +279,6 @@ class TestPropagate:
             short = propagate(pts, R=2.0, n_max=layers, grid_div=30)
             cut = long.prefix(layers)
             assert (cut.n, cut.sizes, cut.deltas) == (short.n, short.sizes, short.deltas)
-            assert cut.points == short.points
             assert cut.positions.tolist() == short.positions.tolist()
 
 
@@ -327,10 +328,12 @@ class TestDensityProbe:
 
 
 class TestMultiDimensionalQuadrature:
-    def test_d2_fractional_multiplier(self):
+    def test_d2_fractional_multiplier(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_OUTER_RADIUS", 2e3)
+        monkeypatch.setattr(numerics, "_OUTER_STEP", 0.1)
         mu = parse_measure("dimension: 2\ncontinuous:\n  - {kind: fractional, alpha: 1.0}\n")
         u = builtin_function("cos", 2)
-        ev = OperatorEvaluator(measure=mu, outer_radius=2e3, outer_step=0.1)
+        ev = OperatorEvaluator(measure=mu)
         res = eval_operator(ev, u, (0.4, -0.7))
         assert abs(res.value - (-math.cos(0.4))) < 5e-4
         assert abs(res.value - (-math.cos(0.4))) <= res.bound
@@ -341,10 +344,13 @@ class TestMultiDimensionalQuadrature:
         res = eval_operator(OperatorEvaluator(measure=mu), u, (0.3, -0.2, 1.0))
         assert abs(res.value) < 1e-10
 
-    def test_d3_fractional_multiplier(self):
+    def test_d3_fractional_multiplier(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_OUTER_RADIUS", 500)
+        monkeypatch.setattr(numerics, "_OUTER_STEP", 0.1)
+        monkeypatch.setattr(numerics, "_SPHERE_COUNT", 32)
         mu = parse_measure("dimension: 3\ncontinuous:\n  - {kind: fractional, alpha: 1.0}\n")
         u = builtin_function("cos", 3)
-        ev = OperatorEvaluator(measure=mu, outer_radius=500, outer_step=0.1, sphere_count=32)
+        ev = OperatorEvaluator(measure=mu)
         res = eval_operator(ev, u, (0.0, 0.0, 0.0))
         assert abs(res.value - (-1.0)) <= res.bound
         assert abs(res.value - (-1.0)) < 1e-3
@@ -484,18 +490,22 @@ class TestBlockedRadialQuadrature:
     """Radii are evaluated in blocks of numerics._BLOCK, every direction per block, in a
     column-major buffer; each float is the one the per-direction loop produced."""
 
-    # one zone each, with a node count above one block and not a multiple of it
+    # one zone each, with a node count above one block and not a multiple of it:
+    # (evaluator fields, numerics constants)
     ZONES = {
-        "inner": dict(r0=1.0, nodes_per_decade=1100, outer_radius=1.0),  # 4,401 log nodes
-        "outer": dict(r0=numerics.R_SWITCH, outer_step=0.002, outer_radius=10.0),  # 5,001
+        "inner": (dict(r0=1.0, nodes_per_decade=1100), dict(_OUTER_RADIUS=1.0)),  # 4,401 log nodes
+        "outer": (dict(r0=numerics.R_SWITCH), dict(_OUTER_STEP=0.002, _OUTER_RADIUS=10.0)),  # 5,001
     }
 
     @pytest.mark.parametrize("zone", sorted(ZONES))
     @pytest.mark.parametrize("function", ["cos", "cos2pi", "gaussian"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_the_per_direction_loop_bit_for_bit(self, dim, function, zone):
+    def test_matches_the_per_direction_loop_bit_for_bit(self, dim, function, zone, monkeypatch):
+        fields, constants = self.ZONES[zone]
+        for name, value in dict(constants, _SPHERE_COUNT=16).items():
+            monkeypatch.setattr(numerics, name, value)
         mu = parse_measure(f"dimension: {dim}\ncontinuous:\n  - {{kind: fractional, alpha: 1.5}}\n")
-        ev = OperatorEvaluator(measure=mu, sphere_count=16, **self.ZONES[zone])
+        ev = OperatorEvaluator(measure=mu, **fields)
         plan = numerics._RadialPlan(ev, mu.continuous[0])
         active, empty = (plan.inner, plan.outer) if zone == "inner" else (plan.outer, plan.inner)
         assert active.fine.r.size > numerics._BLOCK and active.fine.r.size % numerics._BLOCK
