@@ -7,7 +7,6 @@ from .exactreal import (
     ExtendedRational,
     density_witness,
     parse_coordinate,
-    rational_gcd,
     rational_ratio,
 )
 from .measures import LevyMeasure, parse_measure, support_of
@@ -31,7 +30,6 @@ __all__ = [
     "ExtendedRational",
     "density_witness",
     "parse_coordinate",
-    "rational_gcd",
     "rational_ratio",
     "LevyMeasure",
     "parse_measure",

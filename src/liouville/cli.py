@@ -101,6 +101,16 @@ def _header(text: str) -> Report:
     return Report().add("tool", f"liouville {__version__}").add("input_digest", digest)
 
 
+def _add_closure(r: Report, group) -> None:
+    """The closure V + lattice: both dimensions, then the V basis and the lattice basis."""
+    r.add("v_dimension", group.v_dim)
+    r.add("lattice_rank", group.lattice_rank)
+    for v in group.v_basis:
+        r.add("v_basis_vector", format_point(v))
+    for v in group.lambda_basis:
+        r.add("lattice_basis_vector", format_point(v))
+
+
 def _verdict_report(text, verdict, args) -> Report:
     r = _header(text)
     if not getattr(args, "no_timestamp", False):
@@ -113,12 +123,7 @@ def _verdict_report(text, verdict, args) -> Report:
     if verdict.certified:
         s = r.section("closure")
         s.add("provenance", verdict.closure.provenance)
-        s.add("v_dimension", verdict.closure.v_dim)
-        s.add("lattice_rank", verdict.closure.lattice_rank)
-        for v in verdict.closure.v_basis:
-            s.add("v_basis_vector", format_point(v))
-        for v in verdict.closure.lambda_basis:
-            s.add("lattice_basis_vector", format_point(v))
+        _add_closure(s, verdict.closure)
     if verdict.certificate is not None:
         s = r.section("hyperplane_certificate")
         s.add("normal", format_point(verdict.certificate.normal))
@@ -172,12 +177,7 @@ def cmd_closure(args) -> int:
     r.add("dimension", group.dimension)
     r.add("provenance", group.provenance)
     r.add("route", group.route)
-    r.add("v_dimension", group.v_dim)
-    r.add("lattice_rank", group.lattice_rank)
-    for v in group.v_basis:
-        r.add("v_basis_vector", format_point(v))
-    for v in group.lambda_basis:
-        r.add("lattice_basis_vector", format_point(v))
+    _add_closure(r, group)
     if group.probe is not None:
         r.add("probe_verdict", group.probe.verdict)
     _emit(r, args)

@@ -35,7 +35,6 @@ from .exactreal import (
     ConstantBasis,
     ExtendedRational,
     format_point,
-    rational_gcd_many,
     rational_ratio,
 )
 from .measures import Point, SupportDescriptor, negate_point, point_is_zero
@@ -97,7 +96,6 @@ class HyperplaneCertificate:
 
     normal: Point  # H = normal-orthogonal hyperplane
     c: Point
-    h_basis: tuple[Point, ...]
     exact: bool = True
 
 
@@ -158,8 +156,8 @@ def scalar_direction_split(p: Point):
         if r is None:
             return None
         ratios.append(r)
-    prim = _primitive(ratios)  # its first nonzero entry is the pivot's
-    return pivot.scale(1 / next(x for x in prim if x != 0)), prim
+    prim = rl.primitive(ratios)  # its first nonzero entry is the pivot's
+    return pivot.scale(Fraction(1, next(x for x in prim if x != 0))), prim
 
 
 # -- 1-d closure ---------------------------------------------------------------------
@@ -192,7 +190,8 @@ def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
                 witness=(a1, b),
             )
         ratios.append(r)
-    g = a1.scale(rational_gcd_many(ratios))
+    # the HNF basis of a rank-1 lattice of the line is its positive generator
+    g = a1.scale(rl.hnf_lattice([(r,) for r in ratios])[0][0])
     return ClosedSubgroup(1, basis, (), ((g,),), Route.LATTICE)
 
 
@@ -209,14 +208,15 @@ def lattice_hnf(generators) -> tuple[Point, ...]:
     """Hermite-normal-form basis of the lattice spanned by rational points."""
     if not generators:
         return ()
-    basis = generators[0][0].basis
-    vecs = []
-    for gvec in generators:
-        if not is_rational_point(gvec):
-            raise ClosureError("lattice_hnf requires purely rational coordinates")
-        vecs.append([c.coords[0] for c in gvec])
-    cols = rl.hnf_lattice(vecs)
-    return tuple(point_from_fractions(basis, col) for col in cols)
+    cols = rl.hnf_lattice(_rational_rows(generators))
+    return tuple(point_from_fractions(generators[0][0].basis, col) for col in cols)
+
+
+def _rational_rows(points):
+    """Rational points as rows of Fractions; an exact closure's V and lattices are rational."""
+    if not all(is_rational_point(p) for p in points):
+        raise ClosureError("expected purely rational coordinates")
+    return [[c.coords[0] for c in p] for p in points]
 
 
 # -- multi-d closure ---------------------------------------------------------------
@@ -252,10 +252,11 @@ def closure_multid(support: SupportDescriptor) -> ClosedSubgroup:
     v_basis, lam, route, witness = inner
     if v_span:
         comp_points = [point_from_fractions(basis, w) for w in comp]
+        origin = (basis.zero(),) * d
         v_basis = tuple(point_from_fractions(basis, v) for v in v_span) + tuple(
-            _combine(comp_points, v) for v in v_basis
+            _combine(v, comp_points, origin) for v in v_basis
         )
-        lam = tuple(_combine(comp_points, v) for v in lam)
+        lam = tuple(_combine(v, comp_points, origin) for v in lam)
     if len(v_basis) == d:
         return ClosedSubgroup(d, basis, full_v, (), route, witness=witness)
     return ClosedSubgroup(d, basis, v_basis, lam, route, witness=witness)
@@ -330,7 +331,7 @@ def _rational_blocks(points, d):
 
 def _line_closure(basis, points, direction):
     """Closure of points on the rational line through direction, by `closure_1d`."""
-    w = _primitive(direction)
+    w = rl.primitive(direction)
     if next(x for x in w if x != 0) < 0:
         w = [-x for x in w]
     scalars = [t for (t,) in _frame_coordinates(points, [w], basis)]
@@ -352,8 +353,7 @@ def _annihilator_closure(basis, points, k):
     integer kernel in the unknowns (xi, n).  The closure is its dual: V is the
     rational kernel of the annihilator, the lattice alpha * B times a rational
     right inverse.  The witness holds the coordinates B^-1 p of the points off
-    the frame ("c") and, when the block is not dense, one annihilator vector
-    ("dependency").
+    the frame ("c").
     """
     parts = [rational_parts(p) for p in points]
     for a in range(basis.size + 1):
@@ -382,18 +382,11 @@ def _annihilator_closure(basis, points, k):
     if not annihilator:
         return [point_from_fractions(basis, b) for b in B], [], Route.KRONECKER, {"c": c}
     s = len(annihilator)
-    v = [point_from_fractions(basis, _apply(B, x)) for x in rl.nullspace(annihilator)]
-    lam = [
-        _slice_point(basis, a, _apply(B, rl.solve(annihilator, [int(i == j) for j in range(s)])))
-        for i in range(s)
-    ]
-    witness = {"c": c, "dependency": tuple(int(x) for x in annihilator[0])}
-    return v, lam, Route.KRONECKER, witness
-
-
-def _apply(cols, y):
-    """sum_j y_j * cols[j] for rational column vectors."""
-    return [sum(Fraction(yj) * col[i] for yj, col in zip(y, cols)) for i in range(len(cols[0]))]
+    zero = (Fraction(0),) * len(B[0])
+    v = [point_from_fractions(basis, _combine(x, B, zero)) for x in rl.nullspace(annihilator)]
+    units = [rl.solve(annihilator, [int(i == j) for j in range(s)]) for i in range(s)]
+    lam = [_slice_point(basis, a, _combine(x, B, zero)) for x in units]
+    return v, lam, Route.KRONECKER, {"c": c}
 
 
 def _rational_span_basis(vecs):
@@ -441,15 +434,16 @@ def _frame_coordinates(points, cols, basis):
     return [tuple(ExtendedRational(basis, y) for y in zip(*ys[i:i + m])) for i in range(0, len(ys), m)]
 
 
-def _combine(comp_points, coeffs: Point) -> Point:
-    """sum_t coeffs[t] * comp_points[t] with exact scalar products."""
-    d = len(comp_points[0])
-    basis = comp_points[0][0].basis
-    out = [basis.zero()] * d
-    for t, coef in enumerate(coeffs):
-        for i in range(d):
-            out[i] = out[i] + comp_points[t][i] * coef
-    return tuple(out)
+def _combine(coeffs, vecs, zero) -> tuple:
+    """zero + sum_j coeffs[j] * vecs[j], exactly, for int, Fraction or ExtendedRational entries.
+
+    zero is the zero vector of the result: ExtendedRational has no __radd__, and an
+    empty combination (a rank-0 lattice) still has the ambient length.
+    """
+    out = zero
+    for coef, vec in zip(coeffs, vecs):
+        out = tuple(x + y * coef for x, y in zip(out, vec))
+    return out
 
 
 def _probe_closure(basis, support) -> ClosedSubgroup:
@@ -464,13 +458,6 @@ def _probe_closure(basis, support) -> ClosedSubgroup:
 # -- orthogonalization ----------------------------------------------------------------
 
 
-def _rational_v_rows(group: ClosedSubgroup):
-    """V as rational rows; every exact closure builds V from rational directions."""
-    if not all(is_rational_point(v) for v in group.v_basis):
-        raise ClosureError("closure has a non-rational V")
-    return [[c.coords[0] for c in v] for v in group.v_basis]
-
-
 def orthogonalize(group: ClosedSubgroup) -> ClosedSubgroup:
     """Replace each lattice vector a by a - proj_V(a); same generated group.
 
@@ -478,11 +465,12 @@ def orthogonalize(group: ClosedSubgroup) -> ClosedSubgroup:
     """
     if not group.v_basis or not group.lambda_basis:
         return group
-    vr = _rational_v_rows(group)
+    vr = _rational_rows(group.v_basis)
     perp = rl.nullspace(vr)
     perp_points = [point_from_fractions(group.basis, w) for w in perp]
+    origin = (group.basis.zero(),) * group.dimension
     new_lam = tuple(
-        _combine(perp_points, y[len(vr):])
+        _combine(y[len(vr):], perp_points, origin)
         for y in _frame_coordinates(group.lambda_basis, vr + perp, group.basis)
     )
     return replace(group, lambda_basis=new_lam)
@@ -503,7 +491,7 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
         raise ClosureError("closure is dense; no hyperplane certificate exists")
     d = group.dimension
     basis = group.basis
-    h_rows = _rational_v_rows(group)
+    h_rows = _rational_rows(group.v_basis)
     c_point, c_dir = None, []
     if group.lambda_basis:
         splits = [scalar_direction_split(v) for v in group.lambda_basis]
@@ -522,14 +510,11 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
             return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
 
         mvec, _ = rl.shortest_vector(vr, dot)
-        cvec = [sum(Fraction(m) * v[i] for m, v in zip(mvec, vr)) for i in range(d)]
-        g = math.gcd(*(abs(m) for m in mvec))
-        mprim = [m // g for m in mvec]
-        U = rl.complete_primitive(mprim)
+        zero = (Fraction(0),) * d
+        cvec = _combine(mvec, vr, zero)
+        U = rl.complete_primitive(rl.primitive(mvec))
         for jcol in range(1, len(vr)):
-            h_rows.append(
-                [sum(Fraction(U[i][jcol]) * vr[i][t] for i in range(len(vr))) for t in range(d)]
-            )
+            h_rows.append(_combine([row[jcol] for row in U], vr, zero))
         c_point = _canonical_sign(tuple(scale.scale(x) for x in cvec))
         c_dir = [cvec]
 
@@ -549,7 +534,7 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
         normal_vecs = rl.nullspace(h_basis_vecs)
         if len(normal_vecs) != 1:
             raise ClosureError("hyperplane basis is degenerate")
-        normal = point_from_fractions(basis, _primitive(normal_vecs[0]))
+        normal = point_from_fractions(basis, rl.primitive(normal_vecs[0]))
     else:
         normal = point_from_fractions(basis, [Fraction(1)])
     if c_point is None:
@@ -557,18 +542,10 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
     cert = HyperplaneCertificate(
         normal=normal,
         c=c_point,
-        h_basis=tuple(point_from_fractions(basis, v) for v in h_basis_vecs),
         exact=True,
     )
     _validate_certificate(cert, support)
     return cert
-
-
-def _primitive(vec):
-    denom = math.lcm(*(Fraction(c).denominator for c in vec))
-    ints = [int(Fraction(c) * denom) for c in vec]
-    g = math.gcd(*(abs(c) for c in ints if c != 0))
-    return [Fraction(c, g) for c in ints]
 
 
 def _canonical_sign(p: Point) -> Point:
@@ -647,7 +624,8 @@ def decompose_measure(mu, group: ClosedSubgroup) -> Decomposition:
 
     zero_key = tuple(0 for _ in group.lambda_basis)
     lattice_keys = sorted(set(keys) | {tuple(-x for x in k) for k in keys} | {zero_key})
-    coset_points = [_lattice_point(group, key) for key in lattice_keys]
+    origin = (basis.zero(),) * group.dimension
+    coset_points = [_combine(key, group.lambda_basis, origin) for key in lattice_keys]
     parts = [tuple(keys.get(key, ())) for key in lattice_keys]
 
     _verify_symmetry_pairing(lattice_keys, parts)
@@ -684,7 +662,7 @@ def _coset_keys(points, group: ClosedSubgroup):
     slice: one rational system in m, the same for all points, whose columns are
     the lambda_i's W coordinates over every constant slice.
     """
-    vr = _rational_v_rows(group)
+    vr = _rational_rows(group.v_basis)
     lam = group.lambda_basis
     frame = vr + _rational_complement(vr, group.dimension)
     coords = _frame_coordinates(list(lam) + list(points), frame, group.basis)
@@ -693,14 +671,6 @@ def _coset_keys(points, group: ClosedSubgroup):
     for m in _column_coordinates(flat[:len(lam)], flat[len(lam):]):
         keys.append(None if m is None or any(c.denominator != 1 for c in m) else [int(c) for c in m])
     return keys
-
-
-def _lattice_point(group: ClosedSubgroup, key) -> Point:
-    """sum_i key[i] * lambda_i, exactly."""
-    pt = [group.basis.zero()] * group.dimension
-    for m, lamv in zip(key, group.lambda_basis):
-        pt = [x + c * Fraction(m) for x, c in zip(pt, lamv)]
-    return tuple(pt)
 
 
 def _separation(group: ClosedSubgroup) -> float:
@@ -720,7 +690,8 @@ def _separation(group: ClosedSubgroup) -> float:
     found = list(rl.short_vectors(G, tol))
     best = min(q for _, q in found)
     near = [m for m, q in found if q <= best * tol]
-    return min(math.sqrt(sum(float(c) ** 2 for c in _lattice_point(group, m))) for m in near)
+    origin = (group.basis.zero(),) * group.dimension
+    return min(math.sqrt(sum(float(c) ** 2 for c in _combine(m, group.lambda_basis, origin))) for m in near)
 
 
 def _verify_symmetry_pairing(keys, parts):

@@ -10,7 +10,6 @@ coordinates vanish.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -333,35 +332,6 @@ def rational_ratio(a: ExtendedRational, b: ExtendedRational):
     if all(bc == r * ac for ac, bc in zip(a.coords, b.coords)):
         return r
     return None
-
-
-def rational_gcd(x, y) -> Fraction:
-    """Largest g > 0 with x, y in gZ, for nonnegative rationals not both zero."""
-    x, y = Fraction(x), Fraction(y)
-    if x < 0 or y < 0:
-        raise ValueError("rational_gcd requires nonnegative arguments")
-    if x == 0 and y == 0:
-        raise ValueError("rational_gcd(0, 0) is undefined")
-    if x == 0:
-        return y
-    if y == 0:
-        return x
-    num = math.gcd(x.numerator * y.denominator, y.numerator * x.denominator)
-    return Fraction(num, x.denominator * y.denominator)
-
-
-def rational_gcd_many(values) -> Fraction:
-    g = Fraction(0)
-    seen = False
-    for v in values:
-        v = abs(Fraction(v))
-        if v == 0:
-            continue
-        g = v if not seen else rational_gcd(g, v)
-        seen = True
-    if not seen:
-        raise ValueError("rational_gcd_many needs at least one nonzero value")
-    return g
 
 
 # -- density witness -----------------------------------------------------------

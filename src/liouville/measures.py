@@ -23,6 +23,7 @@ from .exactreal import (
     format_point,
     parse_coordinate,
 )
+from .ratlinalg import primitive
 
 
 class MeasureSpecError(ValueError):
@@ -113,14 +114,6 @@ def _zip_pad(a, b):
     a = list(a) + [Fraction(0)] * (n - len(a))
     b = list(b) + [Fraction(0)] * (n - len(b))
     return zip(a, b)
-
-
-def _poly_clear_int(polys):
-    """Scale several polynomials by one rational so all coefficients are int."""
-    denoms = [c.denominator for p in polys for c in p]
-    nums = [abs(c.numerator) for p in polys for c in p if c != 0]
-    scale = Fraction(math.lcm(*denoms) if denoms else 1, math.gcd(*nums) if nums else 1)
-    return [[int(c * scale) for c in p] for p in polys]
 
 
 def _poly_positive_root_free(c, what):
@@ -320,7 +313,9 @@ class PolyRatioSequence(_Template):
         g = _poly_ext_gcd(A, B)[0]
         A = _poly_divmod(A, g)[0]
         B = _poly_divmod(B, g)[0]
-        A, B = _poly_clear_int([A, B])
+        # one positive rational scales A and B to integers with no common factor
+        AB = primitive(A + B)
+        A, B = AB[:len(A)], AB[len(A):]
         if _poly_deg(B) >= 1:
             # gcd(A(n), B(n)) divides a fixed integer L: U*A + V*B = L over Z[x]
             _, u, v = _poly_ext_gcd(A, B)
@@ -604,14 +599,7 @@ def validate_measure(mu: LevyMeasure) -> LevyMeasure:
         with _prefixed(f"continuous[{i}]"):
             part.validate(mu.dimension)
 
-    return LevyMeasure(
-        dimension=mu.dimension,
-        basis=mu.basis,
-        atoms=atoms,
-        sequences=mu.sequences,
-        continuous=mu.continuous,
-        symmetry_mode=mu.symmetry_mode,
-    )
+    return replace(mu, atoms=atoms)
 
 
 def _point_key(p: Point):

@@ -299,7 +299,6 @@ def sphere_nodes(d: int, n: int):
 class EvalResult:
     value: float
     bound: float
-    parts: dict = field(default_factory=dict)
 
 
 R_SWITCH = 1e-4  # outer radius of the analytic Taylor core of every radial kernel
@@ -326,6 +325,8 @@ class OperatorEvaluator:
     def __post_init__(self):
         if self.r0 <= 0:
             raise ValueError("r0 must be positive")
+        if self.truncation is not None and self.truncation < 1:
+            raise ValueError("the sequence truncation must be at least 1")
         if self.measure.dimension > 3 and any(
             not isinstance(p, AffinePart) for p in self.measure.continuous
         ):
@@ -351,7 +352,6 @@ def eval_operator(ev: OperatorEvaluator, u: SmoothFunction, x) -> EvalResult:
     if ev._memo.get("guarded") is not u:
         _bounded_guard(u, mu, xf)
         ev._memo["guarded"] = u
-    parts: dict[str, float] = {}
     total = 0.0
     bound = 0.0
 
@@ -369,7 +369,6 @@ def eval_operator(ev: OperatorEvaluator, u: SmoothFunction, x) -> EvalResult:
                 for atom in mu.atoms
             ])
             s = _float_sum(terms, u, xf)
-        parts["atoms"] = s
         total += s
 
     # template sequences: compensated partial sums plus a certified tail bound
@@ -379,7 +378,6 @@ def eval_operator(ev: OperatorEvaluator, u: SmoothFunction, x) -> EvalResult:
             (seq, N), lambda: (_sequence_terms(seq, N, ev.r0), seq.levy_tail_bound(N))
         )
         s = _float_sum(terms, u, xf)
-        parts[f"sequence_{i}"] = s
         total += s
         cu = _series_constant(u, ev.r0)
         tail = 2.0 * cu * tail_mass
@@ -392,11 +390,10 @@ def eval_operator(ev: OperatorEvaluator, u: SmoothFunction, x) -> EvalResult:
             v, b = _eval_sphere(ev, part, u, xf)
         else:
             v, b = _eval_radial(ev, ev.memo(part, lambda: _RadialPlan(ev, part)), u, xf)
-        parts[f"continuous_{i}"] = v
         total += v
         bound += b
 
-    return EvalResult(value=total, bound=bound, parts=parts)
+    return EvalResult(value=total, bound=bound)
 
 
 def _float_term(weight: float, step, r0: float):
@@ -736,7 +733,6 @@ def _nearest(grid: np.ndarray, points: np.ndarray, bound: float) -> np.ndarray:
 class ProbeResult:
     verdict: str  # "lattice-detected" | "dense-likely" | "inconclusive"
     g_estimate: float | None
-    basis_estimate: tuple | None
     deltas: tuple
 
 
@@ -762,33 +758,33 @@ def classify_propagation(state: PropagationState) -> ProbeResult:
     """
     deltas = state.deltas
     plateau = len(deltas) >= 5 and max(deltas[-5:]) - min(deltas[-5:]) < 1e-12
-    g_est, basis_est, residual = _lattice_fit(state.positions)
+    g_est, residual = _lattice_fit(state.positions)
     snapped = residual is not None and residual < _SNAP_TOL
 
     if plateau and snapped:
         verdict = "lattice-detected"
     elif deltas and deltas[-1] <= state.R / 50 and deltas[-1] <= deltas[0] / 10:
-        verdict, g_est, basis_est = "dense-likely", None, None
+        verdict, g_est = "dense-likely", None
     else:
-        verdict, g_est, basis_est = "inconclusive", None, None
-    return ProbeResult(verdict, g_est, basis_est, tuple(deltas))
+        verdict, g_est = "inconclusive", None
+    return ProbeResult(verdict, g_est, tuple(deltas))
 
 
 def _lattice_fit(pts: np.ndarray):
-    """Fit a lattice to the point set; returns (g, basis, max residual)."""
+    """Fit a lattice to the point set; returns (g, max residual), g for d = 1 only."""
     d = pts.shape[1]
     nz = pts[np.linalg.norm(pts, axis=1) > 1e-12]
     if len(nz) == 0:
-        return None, None, None
+        return None, None
     if d == 1:
         vals = np.unique(np.sort(pts[:, 0]))
         gaps = np.diff(vals)
         gaps = gaps[gaps > 1e-12]
         if len(gaps) == 0:
-            return None, None, None
+            return None, None
         g = float(gaps.min())
         resid = float(np.abs(pts[:, 0] - g * np.round(pts[:, 0] / g)).max())
-        return g, (g,), resid
+        return g, resid
     # greedy shortest independent vectors
     order = np.argsort(np.linalg.norm(nz, axis=1))
     basis = []
@@ -800,9 +796,9 @@ def _lattice_fit(pts: np.ndarray):
         if len(basis) == d:
             break
     if len(basis) < d:
-        return None, None, None
+        return None, None
     B = np.array(basis).T
     coeffs = np.linalg.solve(B, pts.T).T
     resid_coeff = np.abs(coeffs - np.round(coeffs)).max()
     resid = float(resid_coeff * np.linalg.norm(B, 2))
-    return None, tuple(map(tuple, np.array(basis))), resid
+    return None, resid

@@ -88,11 +88,7 @@ def left_dependency(rows):
     ker = nullspace(transposed)
     if not ker:
         return None
-    v = ker[0]
-    scale = math.lcm(*(c.denominator for c in v))
-    w = [c * scale for c in v]
-    g = math.gcd(*(abs(c.numerator) for c in w if c != 0))
-    return [c / g for c in w]
+    return primitive(ker[0])
 
 
 def clear_denominators(vecs):
@@ -101,6 +97,13 @@ def clear_denominators(vecs):
     scale = math.lcm(*denoms) if denoms else 1
     ints = [[int(Fraction(c) * scale) for c in v] for v in vecs]
     return ints, scale
+
+
+def primitive(vec):
+    """The primitive integer vector on the ray of a nonzero rational vector, same sign."""
+    (ints,), _ = clear_denominators([vec])
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
 
 # -- integer lattices -----------------------------------------------------------

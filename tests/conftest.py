@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 from fractions import Fraction
@@ -60,6 +61,22 @@ def check_periodicity(u, generators, samples, tol: float) -> tuple[bool, float]:
     return worst <= tol, worst
 
 
+def scaled_primitive(vec):
+    """Oracle for `ratlinalg.primitive`: clear the denominators, then divide out the gcd."""
+    denom = math.lcm(*(Fraction(c).denominator for c in vec))
+    ints = [int(Fraction(c) * denom) for c in vec]
+    g = math.gcd(*(abs(c) for c in ints if c != 0))
+    return [Fraction(c, g) for c in ints]
+
+
+def clear_int_polys(polys):
+    """Oracle for `ratlinalg.primitive` on joined polynomials: one scale lcm(dens) / gcd(nums)."""
+    denoms = [c.denominator for p in polys for c in p]
+    nums = [abs(c.numerator) for p in polys for c in p if c != 0]
+    scale = Fraction(math.lcm(*denoms) if denoms else 1, math.gcd(*nums) if nums else 1)
+    return [[int(c * scale) for c in p] for p in polys]
+
+
 def coefficient_bounds(G):
     """Bounds b_i with |m_i| <= b_i for every m with m^T G m <= min_j G_jj.
 
@@ -68,8 +85,6 @@ def coefficient_bounds(G):
     entries of G, which may be rationals or floats.  A brute-force search over
     this box therefore meets every shortest vector of the lattice with Gram G.
     """
-    import math
-
     from liouville import ratlinalg as rl
 
     r = len(G)

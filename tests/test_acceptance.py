@@ -161,8 +161,10 @@ def test_criterion_3_kronecker_suite():
     mu_dep = load("kronecker_sqrt2_sqrt2.yaml")
     v_dep = decide(mu_dep)
     assert v_dep.holds is False
-    dep = v_dep.closure.witness["dependency"]
-    assert dep is not None and any(x != 0 for x in dep)
+    # the certificate normal carries the annihilator: normal to V, nonzero on the lattice
+    normal = v_dep.certificate.normal
+    assert all(er_dot(normal, v).is_zero() for v in v_dep.closure.v_basis)
+    assert any(not er_dot(normal, lam).is_zero() for lam in v_dep.closure.lambda_basis)
 
     mu_rat = load("kronecker_rational.yaml")
     v_rat = decide(mu_rat)

@@ -269,6 +269,14 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert 0 < doc["max_bound"] < 1e-3
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_verify_rejects_a_truncation_below_one(self, capsys, n):
+        # -5 used to drop the last five terms and 0 to mean "untruncated"
+        code, out, err = run(capsys, "verify", spec_path("reciprocal_sequence.yaml"),
+                             "--points", "1", "--truncation-N", n)
+        assert code == 2 and out == ""
+        assert err == "error: the sequence truncation must be at least 1\n"
+
     def test_verify_seed_reproducible(self, capsys):
         args = ["verify", spec_path("mean_value.yaml"), "--no-timestamp",
                 "--function", "harmonic_xy", "--points", "3", "--seed", "11"]
@@ -342,7 +350,7 @@ print(json.dumps(liouville.__all__))
         names = json.loads(out)
         assert set(names) == {
             "ConstantBasis", "ExtendedRational", "density_witness", "parse_coordinate",
-            "rational_gcd", "rational_ratio", "LevyMeasure", "parse_measure", "support_of",
+            "rational_ratio", "LevyMeasure", "parse_measure", "support_of",
             "ClosedSubgroup", "HyperplaneCertificate", "closure_1d", "closure_multid",
             "lattice_hnf", "orthogonalize", "decompose_measure", "hyperplane_certificate",
             "LiouvilleVerdict", "decide", "decide_1d", "Counterexample", "build_counterexample",

@@ -53,7 +53,6 @@ class TestBuild:
         cert = HyperplaneCertificate(
             normal=(er(plain_basis, 1), er(plain_basis, 0)),
             c=(er(plain_basis, 0), er(plain_basis, 1)),  # <n, c> = 0: c in H
-            h_basis=((er(plain_basis, 0), er(plain_basis, 1)),),
         )
         with pytest.raises(CounterexampleError):
             build_counterexample(cert, 2)

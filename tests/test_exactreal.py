@@ -15,8 +15,6 @@ from liouville.exactreal import (
     floor_split,
     format_coordinate,
     parse_coordinate,
-    rational_gcd,
-    rational_gcd_many,
     rational_ratio,
 )
 from conftest import PI_50, SQRT2_50, er
@@ -145,44 +143,6 @@ class TestRationalRatio:
         assert r is not None
         assert r.denominator * b == r.numerator * a
         assert math.gcd(abs(r.numerator), r.denominator) == 1
-
-
-class TestRationalGcd:
-    def test_spec_example(self):
-        # brute-force oracle: largest g with 3/2, 5/4 in gZ
-        candidates = [
-            Fraction(n, d) for n in range(1, 16) for d in range(1, 9)
-        ]
-        best = max(
-            (g for g in candidates if (Fraction(3, 2) / g).denominator == 1
-             and (Fraction(5, 4) / g).denominator == 1),
-        )
-        assert best == Fraction(1, 4)
-        assert rational_gcd(Fraction(3, 2), Fraction(5, 4)) == Fraction(1, 4)
-
-    def test_integers(self):
-        assert rational_gcd(6, 4) == 2
-
-    def test_zero_convention(self):
-        assert rational_gcd(Fraction(7, 3), 0) == Fraction(7, 3)
-
-    def test_both_zero_raises(self):
-        with pytest.raises(ValueError):
-            rational_gcd(0, 0)
-
-    @given(x=rationals, y=rationals)
-    def test_divides_both_and_is_maximal(self, x, y):
-        x, y = abs(x), abs(y)
-        if x == 0 and y == 0:
-            return
-        g = rational_gcd(x, y)
-        assert (x / g).denominator == 1 and (y / g).denominator == 1
-        for k in (2, 3, 5):
-            gk = g * k
-            assert (x / gk).denominator != 1 or (y / gk).denominator != 1 or (x == 0 and y == 0)
-
-    def test_gcd_many(self):
-        assert rational_gcd_many([Fraction(1), Fraction(3, 2)]) == Fraction(1, 2)
 
 
 class TestLemRwConsistency:

@@ -1,8 +1,11 @@
-"""Golden reports: `decide`, `decompose` and `closure` on every bundled spec, `propagate`, `verify`.
+"""Golden reports: `decide`, `decompose`, `closure` and `counterexample` on every bundled spec,
+`propagate`, `verify`.
 
 Each file under tests/golden/ holds the exit code, stdout and stderr of one
 `liouville <command> specs/<spec>.yaml --no-timestamp` run.  The closure engine
-may change how it reaches a verdict, but not a byte of these reports.
+may change how it reaches a verdict, but not a byte of these reports.  The
+`counterexample` files hold its 16 default sample values for a failing spec and its
+exit-2 message for a spec where Liouville holds.
 
 The propagate files hold the CSV (stdout) and the probe lines (stderr) of
 `liouville propagate` on every bundled spec with finite support points at a small
@@ -39,7 +42,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SPEC_DIR = os.path.join(HERE, "..", "specs")
 GOLDEN_DIR = os.path.join(HERE, "golden")
 SPECS = sorted(f[:-5] for f in os.listdir(SPEC_DIR) if f.endswith(".yaml"))
-COMMANDS = ("decide", "decompose", "closure")
+COMMANDS = ("decide", "decompose", "closure", "counterexample")
 
 
 def spec_path(spec: str) -> str:

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liouville import ratlinalg as rl
-from conftest import coefficient_bounds
+from conftest import clear_int_polys, coefficient_bounds, scaled_primitive
 
 
 def bfs_span_in_box(gens, box, pad):
@@ -136,6 +138,80 @@ class TestHnf:
         basis = rl.hnf_lattice([[2, 0], [0, 2], [1, 1]])
         assert rl.lattice_member(basis, [Fraction(3), Fraction(1)]) is not None
         assert rl.lattice_member(basis, [Fraction(1), Fraction(0)]) is None
+
+
+def line_gcd(values):
+    """The rational gcd: the positive generator of the HNF basis of a lattice of the line."""
+    ((g,),) = rl.hnf_lattice([(v,) for v in values])
+    return g
+
+
+class TestRationalGcdOfALine:
+    def test_spec_example(self):
+        # brute-force oracle: largest g with 3/2, 5/4 in gZ
+        candidates = [Fraction(n, d) for n in range(1, 16) for d in range(1, 9)]
+        best = max(
+            g for g in candidates
+            if (Fraction(3, 2) / g).denominator == 1 and (Fraction(5, 4) / g).denominator == 1
+        )
+        assert best == Fraction(1, 4)
+        assert line_gcd([Fraction(3, 2), Fraction(5, 4)]) == Fraction(1, 4)
+
+    def test_integers(self):
+        assert line_gcd([6, 4]) == 2
+
+    def test_zero_generator_is_dropped(self):
+        assert line_gcd([Fraction(7, 3), 0]) == Fraction(7, 3)
+
+    @given(
+        x=st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
+        y=st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
+    )
+    def test_divides_both_and_is_maximal(self, x, y):
+        if x == 0 and y == 0:
+            return
+        g = line_gcd([x, y])
+        assert g > 0
+        assert (x / g).denominator == 1 and (y / g).denominator == 1
+        for k in (2, 3, 5):
+            assert (x / (g * k)).denominator != 1 or (y / (g * k)).denominator != 1
+
+    def test_many(self):
+        assert line_gcd([Fraction(1), Fraction(3, 2)]) == Fraction(1, 2)
+
+
+def seeded_rational_vectors(count, seed):
+    """Rational vectors of length 1-6 with zero and negative entries, none all zero."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        vec = [
+            Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 4, 6, 9, 10, 49, 1024]))
+            if rng.random() > 0.25 else Fraction(0)
+            for _ in range(rng.randint(1, 6))
+        ]
+        if any(vec):
+            out.append(vec)
+    return out
+
+
+class TestPrimitive:
+    def test_matches_the_scaled_oracle(self):
+        for vec in seeded_rational_vectors(250, 11):
+            prim = rl.primitive(vec)
+            assert prim == scaled_primitive(vec), vec
+            assert all(type(c) is int for c in prim)
+
+    def test_matches_the_polynomial_oracle(self):
+        # measures splits primitive(A + B) at len(A): the same as one scale for both
+        for vec in seeded_rational_vectors(250, 12):
+            cut = random.Random(len(vec)).randint(0, len(vec))
+            prim = rl.primitive(vec)
+            assert [prim[:cut], prim[cut:]] == clear_int_polys([vec[:cut], vec[cut:]]), vec
+
+    def test_keeps_the_ray_and_its_sign(self):
+        assert rl.primitive([Fraction(-4, 3), 0, Fraction(2, 9)]) == [-6, 0, 1]
+        assert rl.primitive([0, Fraction(5, 7)]) == [0, 1]
 
 
 class TestIntegerKernel:

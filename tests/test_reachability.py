@@ -7,7 +7,8 @@ each one up, so they stay until the tracer drops them) and `density_witness`.
 
 Likewise every field of a dataclass is read as an attribute somewhere in the
 package: a field that is stored but never read is a second home for a fact that
-lives elsewhere, or no fact at all.  A `getattr` string does not count as a read.
+lives elsewhere, or no fact at all.  A read counts for its receiver's class where
+the scan can tell it.  A `getattr` string does not count as a read.
 
 And every parameter or dataclass field with a default is set by some call in the
 package: an option that only tests set is a code path no command takes.
@@ -35,10 +36,8 @@ UNSET_PARAMETERS_ALLOWED = {
 }
 
 UNREAD_FIELDS_ALLOWED = {
-    ("HyperplaneCertificate", "h_basis"),  # the certificate's H, which tests check
     ("SmoothFunction", "sup_grad"),  # kept for the error bounds of ROADMAP item 1
     ("SmoothFunction", "sup_d4"),  # likewise
-    ("ProbeResult", "basis_estimate"),  # g_estimate's counterpart for d >= 2, tests check it
 }
 
 
@@ -93,28 +92,128 @@ def _is_dataclass(cls):
     return any(getattr(t, "id", getattr(t, "attr", None)) == "dataclass" for t in targets)
 
 
+def _class_name(annotation, classes):
+    """The class an annotation names, or None: `C`, `"C"` or `C | None`."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    if isinstance(annotation, ast.Name):
+        return annotation.id if annotation.id in classes else None
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        sides = [a for a in (annotation.left, annotation.right)
+                 if not (isinstance(a, ast.Constant) and a.value is None)]
+        return _class_name(sides[0], classes) if len(sides) == 1 else None
+    return None
+
+
+def _bound_names(node):
+    """Names a node binds: assignment, loop, comprehension, with, except, walrus or lambda."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.For, ast.comprehension,
+                           ast.NamedExpr)):
+        targets = [node.target]
+    elif isinstance(node, ast.withitem):
+        targets = [node.optional_vars] if node.optional_vars is not None else []
+    elif isinstance(node, ast.ExceptHandler):
+        return [node.name] if node.name else []
+    elif isinstance(node, ast.Lambda):
+        return [a.arg for a in node.args.args]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, without the bodies of functions nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _local_types(fn, owner, classes, returns):
+    """Each name a function binds -> its class, or None where that is not settled.
+
+    `self` (or `cls`) is the enclosing class; an annotated parameter or variable is its
+    annotation; `x = C(...)` is C and `x = f(...)` is f's annotated return class.  A
+    name bound any other way, or to two classes, has none.
+    """
+    seen = {}
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    for i, arg in enumerate(fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs):
+        if i == 0 and owner and not static and arg.annotation is None:
+            seen.setdefault(arg.arg, set()).add(owner)
+        else:
+            seen.setdefault(arg.arg, set()).add(_class_name(arg.annotation, classes))
+    for node in _own_nodes(fn):
+        for name in _bound_names(node):
+            cls = None
+            if isinstance(node, ast.AnnAssign):
+                cls = _class_name(node.annotation, classes)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                    and [type(t) for t in node.targets] == [ast.Name]:
+                callee = _callee(node.value)
+                cls = callee if callee in classes else returns.get(callee)
+            seen.setdefault(name, set()).add(cls)
+    return {name: cls.pop() if len(cls) == 1 else None for name, cls in seen.items()}
+
+
 def unread_fields(trees):
     """Dataclass fields read as an attribute nowhere in `trees`.
 
-    A read is matched by attribute name alone, whatever the object: `state.sizes`
-    counts as a read of every field named `sizes`.  So the scan did not see that
-    ProbeResult.sizes, ProbeResult.flagged_partial and Counterexample.dimension were
-    never read, because PropagationState.sizes, PropagationState.flagged_partial and
-    LevyMeasure.dimension are.
+    A read `x.name` counts for the class of x where `_local_types` settles it, and
+    for every class related to that one by inheritance.  Only where x's class is not
+    settled does it count for every field called `name`.  A scan by name alone missed
+    ProbeResult.sizes, ProbeResult.flagged_partial and Counterexample.dimension:
+    `state.sizes`, `state.flagged_partial` and `mu.dimension` seemed to read them.
     """
-    reads = {
-        node.attr
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    classes = {c.name: c for tree in trees for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+    bases = {name: {getattr(b, "id", getattr(b, "attr", None)) for b in c.bases} & set(classes)
+             for name, c in classes.items()}
+
+    def ancestors(name):
+        return {name}.union(*(ancestors(b) for b in bases[name]))
+
+    def family(name):
+        return {c for c in classes if name in ancestors(c)} | ancestors(name)
+
+    returns = {}
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.returns is not None:
+                returns.setdefault(fn.name, set()).add(_class_name(fn.returns, classes))
+    returns = {f: cls.pop() for f, cls in returns.items() if len(cls) == 1}
+
+    typed, untyped = set(), set()
+
+    def scan(node, owner, env):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                scan(child, child.name, env)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, None, env | _local_types(child, owner, classes, returns))
+            else:
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                    cls = env.get(child.value.id) if isinstance(child.value, ast.Name) else None
+                    if cls is None:
+                        untyped.add(child.attr)
+                    else:
+                        typed.update((c, child.attr) for c in family(cls))
+                scan(child, owner, env)
+
+    for tree in trees:
+        scan(tree, None, {})
     return [
         (cls.name, stmt.target.id)
         for tree in trees
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
         for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in reads
+        if isinstance(stmt, ast.AnnAssign)
+        and stmt.target.id not in untyped
+        and (cls.name, stmt.target.id) not in typed
     ]
 
 
@@ -129,6 +228,20 @@ def test_the_field_scan_ignores_writes_and_getattr_strings():
         "def f(p):\n    p.c = getattr(p, 'b')\n    return p.a\n"
     )
     assert unread_fields([tree]) == [("P", "b"), ("P", "c")]
+
+
+def test_the_field_scan_resolves_the_receiver_class():
+    # A and B share their field names; each typed read reaches one class only
+    src = (
+        "@dataclass\nclass A:\n    n: int\n    m: int\n    k: int\n\n"
+        "@dataclass\nclass B:\n    n: int\n    m: int\n    k: int\n\n"
+        "    def total(self):\n        return self.n\n\n"
+        "def make() -> B:\n    return B(1, 2, 3)\n\n"
+        "def f(a: A):\n    b = make()\n    c = A(1, 2, 3)\n    return a.n + b.m + c.k\n"
+    )
+    assert unread_fields([ast.parse(src)]) == [("A", "m"), ("B", "k")]
+    # a receiver of no known class falls back to the name: x.m reads A.m and B.m
+    assert unread_fields([ast.parse(src + "\ndef g(x):\n    return x.m\n")]) == [("B", "k")]
 
 
 def _callee(call):
@@ -177,7 +290,7 @@ def _defaults(module, tree):
 def unset_parameters(modules):
     """Defaulted parameters and dataclass fields that no call in `modules` sets.
 
-    Calls are matched to definitions by name, as reads are in `unread_fields`; `cls(...)`
+    Calls are matched to definitions by name, as untyped reads are in `unread_fields`; `cls(...)`
     inside a class body calls that class, and `replace(x, name=...)` sets every field
     called `name`.  A `**mapping` argument sets nothing the scan can see.
     """
