@@ -128,7 +128,7 @@ def _verdict_report(text, verdict, args) -> Report:
         s = r.section("hyperplane_certificate")
         s.add("normal", format_point(verdict.certificate.normal))
         s.add("c", format_point(verdict.certificate.c))
-        s.add("exact", verdict.certificate.exact)
+        s.add("exact", True)  # a certificate is built and validated in exact arithmetic
     if verdict.counterexample is not None:
         s = r.section("counterexample")
         s.add("kind", verdict.counterexample.kind)
@@ -155,8 +155,10 @@ def _verdict_report(text, verdict, args) -> Report:
         if probe is not None:
             s.add("deltas", [float(d) for d in probe.deltas])
             if probe.g_estimate is not None:
+                from .numerics import SNAP_TOL
+
                 s.add("g_estimate", probe.g_estimate)
-                s.add("g_estimate_tolerance", 1e-9)
+                s.add("g_estimate_tolerance", SNAP_TOL)
     return r
 
 

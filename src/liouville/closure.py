@@ -68,7 +68,7 @@ class ClosedSubgroup:
     v_basis: tuple[Point, ...]
     lambda_basis: tuple[Point, ...]
     route: Route
-    witness: Any = None
+    witness: dict | None = None
     probe: Any = None
 
     @property
@@ -96,7 +96,6 @@ class HyperplaneCertificate:
 
     normal: Point  # H = normal-orthogonal hyperplane
     c: Point
-    exact: bool = True
 
 
 class ClosureError(ValueError):
@@ -168,11 +167,13 @@ def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
     if support.dimension != 1:
         raise ClosureError("closure_1d requires dimension 1")
     basis = _descriptor_basis(support)
-    if support.is_empty():
-        return ClosedSubgroup(1, basis, (), (), Route.TRIVIAL)
-    if support.fills_ball or support.accumulation_points or support.directions:
-        route = Route.INTERVAL_OR_BALL if support.fills_ball else Route.ACCUMULATION
-        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), route)
+    if support.fills_ball:
+        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), Route.INTERVAL_OR_BALL)
+    if support.accumulation_points or support.directions:
+        # with no accumulation point, an unbounded-denominator sequence makes the line dense
+        acc = support.accumulation_points
+        witness = {"accumulation_points": acc} if acc else None
+        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), Route.ACCUMULATION, witness=witness)
     # the positive support values, one per +- pair, sorted and distinct
     scalars = []
     for x in sorted((p[0] for p in support.finite_points if p[0].sign() > 0), key=float):
@@ -187,7 +188,7 @@ def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
         if r is None:
             return ClosedSubgroup(
                 1, basis, _unit_points(basis, 1), (), Route.IRRATIONAL_PAIR,
-                witness=(a1, b),
+                witness={"pair": (a1, b)},
             )
         ratios.append(r)
     # the HNF basis of a rank-1 lattice of the line is its positive generator
@@ -539,11 +540,7 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
         normal = point_from_fractions(basis, [Fraction(1)])
     if c_point is None:
         c_point = _canonical_sign(normal)
-    cert = HyperplaneCertificate(
-        normal=normal,
-        c=c_point,
-        exact=True,
-    )
+    cert = HyperplaneCertificate(normal=normal, c=c_point)
     _validate_certificate(cert, support)
     return cert
 

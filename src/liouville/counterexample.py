@@ -37,14 +37,13 @@ class Counterexample:
             sup_u=1.0, sup_grad=w, sup_hess=w**2, sup_d3=w**3, sup_d4=w**4,
         )
 
-    def coset_coordinate(self, x: Point) -> tuple[int, float]:
-        """(k, t) with <n,x>/<n,c> = k + t, k integer, t in [0,1), t reduced exactly."""
-        n = self.certificate.normal
-        return floor_split(er_dot(n, x), er_dot(n, self.certificate.c))
-
     def value_exact(self, x: Point) -> float:
-        """Value at a point with exact coordinates; coset-shift invariant."""
-        _, t = self.coset_coordinate(x)
+        """Value at a point with exact coordinates; coset-shift invariant.
+
+        <n,x>/<n,c> = k + t, k an integer and t in [0,1), with t reduced exactly.
+        """
+        n = self.certificate.normal
+        _, t = floor_split(er_dot(n, x), er_dot(n, self.certificate.c))
         return math.cos(2.0 * math.pi * t)
 
     def value(self, x) -> float:

@@ -86,15 +86,10 @@ def decide(mu: LevyMeasure) -> LiouvilleVerdict:
         return LiouvilleVerdict(None, "probe", cl, assumptions=assumptions)
     if cl.is_full():
         route, witness = cl.route.value, cl.witness
-        if mu.dimension == 1:
-            # a dense line: name the 1-d density argument and its witness
-            if cl.route is Route.IRRATIONAL_PAIR:
-                witness = {"pair": cl.witness}
-            elif cl.route is Route.ACCUMULATION and desc.accumulation_points:
-                witness = {"accumulation_points": desc.accumulation_points}
-            elif cl.route is Route.ACCUMULATION:
-                seq = next(s for s in mu.sequences if s.q_certification()[0] == "unbounded")
-                route, witness = "unbounded_q_sequence", _unbounded_witness(seq)
+        if mu.dimension == 1 and cl.route is Route.ACCUMULATION and witness is None:
+            # a line dense without an accumulation point: an unbounded-q sequence
+            seq = next(s for s in mu.sequences if s.q_certification()[0] == "unbounded")
+            route, witness = "unbounded_q_sequence", _unbounded_witness(seq)
         return LiouvilleVerdict(True, route, cl, witness=witness, assumptions=assumptions)
     return _failure_verdict(mu, cl, desc, assumptions)
 

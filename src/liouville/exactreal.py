@@ -134,12 +134,10 @@ class ExtendedRational:
             raise BasisMismatchError("operands use different constant bases")
 
     def __add__(self, other):
-        other = self._coerce(other)
         self._check(other)
         return ExtendedRational(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
-        other = self._coerce(other)
         self._check(other)
         return ExtendedRational(self.basis, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
@@ -163,13 +161,6 @@ class ExtendedRational:
             raise NotRepresentableError("product of two irrational values leaves the basis span")
         return NotImplemented
 
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.basis.from_rational(other)
-        return other
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -177,11 +168,6 @@ class ExtendedRational:
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise NotRepresentableError(f"{self} is not rational")
-        return self.coords[0]
 
     # -- numerics ------------------------------------------------------------
 
@@ -205,8 +191,6 @@ class ExtendedRational:
         if self.is_rational():
             q = self.coords[0]
             return (q > 0) - (q < 0)
-        if self.is_zero():
-            return 0
         with mpmath.workdps(self.basis.dps + 10):
             v = self.mpf()
             if abs(v) < mpmath.mpf(10) ** (-(self.basis.dps - 5)):
@@ -215,18 +199,6 @@ class ExtendedRational:
                     "independence assertion may be violated"
                 )
             return 1 if v > 0 else -1
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        d = self - other
-        return d.is_zero() or d.sign() < 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
 
     def __str__(self):
         return format_coordinate(self)

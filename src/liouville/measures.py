@@ -539,9 +539,6 @@ class SupportDescriptor:
     fills_ball: bool = False
     directions: tuple[Point, ...] = ()
 
-    def is_empty(self) -> bool:
-        return not (self.finite_points or self.accumulation_points or self.fills_ball or self.directions)
-
 
 # -- validation ------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .exactreal import ExtendedRational, basis_floats, floor_split
+from .exactreal import ExtendedRational, basis_floats
 from .measures import (
     AffinePart,
     AnyContinuous,
@@ -50,11 +50,6 @@ class SmoothFunction:
     def value(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    def value_exact(self, x):
-        if self.exact_fn is None:
-            raise TypeError(f"{self.name} has no exact evaluation path")
-        return self.exact_fn(x)
-
 
 def builtin_function(name: str, dimension: int) -> SmoothFunction:
     """Named test functions; all operate on arrays whose last axis indexes coordinates."""
@@ -77,7 +72,6 @@ def builtin_function(name: str, dimension: int) -> SmoothFunction:
             fn=lambda x: np.cos(tp * x[..., 0]),
             grad_fn=lambda x: _e1_grad(-tp * np.sin(tp * x[0]), dimension),
             dir2_fn=lambda x, w: -(tp**2) * np.cos(tp * x[0]) * w[0] ** 2,
-            exact_fn=_cos2pi_exact,
             sup_u=1.0,
             sup_grad=tp,
             sup_hess=tp**2,
@@ -115,19 +109,6 @@ def _e1_grad(v, d):
     g = np.zeros(d)
     g[0] = v
     return g
-
-
-def _cos2pi_exact(x):
-    """cos(2 pi x_1) with the argument reduced mod 1 exactly.
-
-    Integer shifts of an exact point reproduce the same reduced argument, so
-    differences across lattice translates vanish exactly in floating point.
-    """
-    t = x[0]
-    if t.is_rational():
-        frac = t.as_rational() % 1
-        return math.cos(2.0 * math.pi * float(frac))
-    return math.cos(2.0 * math.pi * floor_split(t, t.basis.one())[1])
 
 
 # -- radial kernels ---------------------------------------------------------------
@@ -327,6 +308,8 @@ class OperatorEvaluator:
             raise ValueError("r0 must be positive")
         if self.truncation is not None and self.truncation < 1:
             raise ValueError("the sequence truncation must be at least 1")
+        if self.nodes_per_decade < 1:
+            raise ValueError("the quadrature needs at least 1 node per decade")
         if self.measure.dimension > 3 and any(
             not isinstance(p, AffinePart) for p in self.measure.continuous
         ):
@@ -359,10 +342,10 @@ def eval_operator(ev: OperatorEvaluator, u: SmoothFunction, x) -> EvalResult:
     if mu.atoms:
         if exact_mode:
             s = 0.0
-            ux = u.value_exact(x)
+            ux = u.exact_fn(x)
             for atom in mu.atoms:
                 shifted = tuple(a + b for a, b in zip(x, atom.point))
-                s += float(atom.weight) * (u.value_exact(shifted) - ux)
+                s += float(atom.weight) * (u.exact_fn(shifted) - ux)
         else:
             terms = ev.memo("atoms", lambda: [
                 _float_term(float(atom.weight), np.array([float(c) for c in atom.point]), ev.r0)
@@ -640,6 +623,8 @@ def propagate(
         raise ValueError("propagate needs a nonempty finite support")
     if R <= 0:
         raise ValueError("window radius must be positive")
+    if grid_div < 1:
+        raise ValueError("the probe grid needs at least 1 division")
     d = len(support_points[0])
     basis = support_points[0][0].basis
 
@@ -747,7 +732,7 @@ def density_probe(
     return classify_propagation(state)
 
 
-_SNAP_TOL = 1e-9  # largest lattice-fit residual that counts as a lattice
+SNAP_TOL = 1e-9  # largest lattice-fit residual that counts as a lattice
 
 
 def classify_propagation(state: PropagationState) -> ProbeResult:
@@ -759,7 +744,7 @@ def classify_propagation(state: PropagationState) -> ProbeResult:
     deltas = state.deltas
     plateau = len(deltas) >= 5 and max(deltas[-5:]) - min(deltas[-5:]) < 1e-12
     g_est, residual = _lattice_fit(state.positions)
-    snapped = residual is not None and residual < _SNAP_TOL
+    snapped = residual is not None and residual < SNAP_TOL
 
     if plateau and snapped:
         verdict = "lattice-detected"

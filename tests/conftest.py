@@ -41,6 +41,12 @@ def er(basis, *coords):
     return ExtendedRational(basis, tuple(Fraction(c) for c in coords))
 
 
+def rational(x):
+    """The Fraction that a rational ExtendedRational equals; fails on an irrational one."""
+    assert x.is_rational(), x
+    return x.coords[0]
+
+
 def spec_path(name):
     return os.path.join(SPEC_DIR, name)
 

@@ -269,13 +269,29 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert 0 < doc["max_bound"] < 1e-3
 
-    @pytest.mark.parametrize("n", ["0", "-5"])
-    def test_verify_rejects_a_truncation_below_one(self, capsys, n):
+    @pytest.mark.parametrize("flag, n", [
         # -5 used to drop the last five terms and 0 to mean "untruncated"
+        ("--truncation-N", "0"), ("--truncation-N", "-5"),
+        # 0 and -3 used to run with a bound a thousand times the default's
+        ("--quad-nodes", "0"), ("--quad-nodes", "-3"),
+    ])
+    def test_verify_rejects_a_count_below_one(self, capsys, flag, n):
+        message = {
+            "--truncation-N": "the sequence truncation must be at least 1",
+            "--quad-nodes": "the quadrature needs at least 1 node per decade",
+        }[flag]
         code, out, err = run(capsys, "verify", spec_path("reciprocal_sequence.yaml"),
-                             "--points", "1", "--truncation-N", n)
+                             "--points", "1", flag, n)
         assert code == 2 and out == ""
-        assert err == "error: the sequence truncation must be at least 1\n"
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["discrete_laplacian.yaml", "nonuniform_grid_2d.yaml"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_propagate_rejects_a_grid_below_one(self, capsys, name, n):
+        # 0 used to measure covering radii on the one-point grid {-R} in 1-d
+        code, out, err = run(capsys, "propagate", spec_path(name), "--grid-div", n)
+        assert code == 2 and out == ""
+        assert err == "error: the probe grid needs at least 1 division\n"
 
     def test_verify_seed_reproducible(self, capsys):
         args = ["verify", spec_path("mean_value.yaml"), "--no-timestamp",

@@ -272,6 +272,7 @@ def assert_closure_agrees_with_decide(monkeypatch, mu, name):
     group = closure_command_group(monkeypatch, mu)
     v = decide(mu)
     assert group.is_full() == (v.holds is True), name
+    assert group.witness is None or isinstance(group.witness, dict), name
     if v.holds is False:
         assert orthogonalize(group) == v.closure, name
 

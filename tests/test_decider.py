@@ -96,7 +96,7 @@ class TestRoutes1d:
         )
         v = decide_1d(parse_measure(text))
         assert v.holds is False
-        assert v.closure.lambda_basis[0][0].as_rational() == Fraction(1, 2)
+        assert v.closure.lambda_basis[0][0] == v.closure.basis.from_rational(Fraction(1, 2))
 
 
 def _sequence(numerator, denominator, truncation, extra=""):
@@ -149,7 +149,6 @@ class TestPrecedence1d:
         assert (v.route, v.verdict_word, v.witness) == ("lattice", "fails", None)
         cert = v.certificate
         assert format_point(cert.normal) == "(1)" and format_point(cert.c) == "(1/2)"
-        assert cert.exact
         assert v.counterexample.closed_form == "cos(2*pi*x/(1/2))"
 
 

@@ -87,8 +87,12 @@ def test_decompose_puts_the_sequence_in_the_origin_coset():
     occupied = {k[0] if k else 0: p for k, p in zip(dec.coset_keys, dec.parts) if p}
     assert set(occupied) == {-1, 0, 1}
     seq = mu.sequences[0]
-    assert sorted(p for p, _ in occupied[0]) == sorted(
-        q for n in range(1, 7) for q in (seq.point(n), tuple(-c for c in seq.point(n)))
+    def exact_key(p):
+        return [c.coords for c in p]
+
+    assert sorted((p for p, _ in occupied[0]), key=exact_key) == sorted(
+        (q for n in range(1, 7) for q in (seq.point(n), tuple(-c for c in seq.point(n)))),
+        key=exact_key,
     )
 
 

@@ -97,7 +97,7 @@ class TestParsing:
         )
         mu = parse_measure(text)
         assert len(mu.atoms) == 2
-        assert all(a.weight.as_rational() == 3 for a in mu.atoms)
+        assert all(a.weight == mu.basis.from_rational(3) for a in mu.atoms)
 
     def test_divergent_sequence_rejected(self):
         # growing points with constant weights: Levy integral diverges

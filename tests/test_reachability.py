@@ -12,6 +12,11 @@ the scan can tell it.  A `getattr` string does not count as a read.
 
 And every parameter or dataclass field with a default is set by some call in the
 package: an option that only tests set is a code path no command takes.
+
+And every method of a class is called or read somewhere in the package, matched
+by name as the definitions are.  Operator dunders such as `__lt__` are out of
+this scan's reach: `a < b` reaches them without naming them, so the scan skips
+every dunder.
 """
 
 import ast
@@ -33,6 +38,11 @@ UNSET_PARAMETERS_ALLOWED = {
     ("RelativisticPart", "m"),
     ("RelativisticPart", "coefficient"),
     ("SphereSurfacePart", "radius"),
+}
+
+UNREFERENCED_METHODS_ALLOWED = {
+    ("Counterexample", "as_function"),  # the README's way to evaluate a counterexample (criterion 6)
+    ("ConstantBasis", "constant"),  # scripts/propagation_study.py builds its steps with it
 }
 
 UNREAD_FIELDS_ALLOWED = {
@@ -85,6 +95,36 @@ def test_the_scan_sees_a_definition_used_only_by_itself():
     (f, g) = tree.body[:2]
     assert not _referenced("f", {id(n) for n in ast.walk(f)}, [tree])
     assert _referenced("g", {id(n) for n in ast.walk(g)}, [tree])
+
+
+def unreferenced_methods(trees):
+    """(class, method) for each non-dunder method whose name no code outside its own body reads."""
+    return [
+        (cls.name, fn.name)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and not _referenced(fn.name, {id(n) for n in ast.walk(fn)}, trees)
+    ]
+
+
+def test_every_method_is_reached_from_src():
+    trees = [tree for _, tree in _modules()]
+    assert [m for m in unreferenced_methods(trees) if m not in UNREFERENCED_METHODS_ALLOWED] == []
+
+
+def test_the_method_scan_skips_dunders_and_calls_from_the_method_itself():
+    tree = ast.parse(
+        "class P:\n    def __lt__(self, o):\n        return self.a() < o.a()\n\n"
+        "    def a(self):\n        return 1\n\n"
+        "    def b(self, n):\n        return self.b(n - 1)\n\n"
+        "    @property\n    def c(self):\n        return 2\n\n"
+        "def f(p):\n    return p.c\n"
+    )
+    assert unreferenced_methods([tree]) == [("P", "b")]
 
 
 def _is_dataclass(cls):
