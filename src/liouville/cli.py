@@ -393,6 +393,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "points", 1) < 1:  # verify and counterexample
+        print("error: --points must be at least 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -304,8 +304,8 @@ class OperatorEvaluator:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise ValueError("r0 must be positive")
+        if not (self.r0 > 0 and math.isfinite(self.r0)):
+            raise ValueError("r0 must be positive and finite")
         if self.truncation is not None and self.truncation < 1:
             raise ValueError("the sequence truncation must be at least 1")
         if self.nodes_per_decade < 1:
@@ -614,17 +614,24 @@ def propagate(
     Each layer adds every step to every point of the previous layer, keeps the
     candidates within R + the longest step of the origin, and of those the first in
     (frontier, step) order for each exact point not reached before.  A point is
-    known exactly by its key, an integer vector over the common denominator of the
-    steps (coordinate i, basis element k at index i*(m+1) + k); the keys serve only
-    to deduplicate and are not kept.  The run stops, flagged partial, after the
-    layer that takes it past _POINT_CAP points.
+    known exactly by its code: its key, an integer vector over the common denominator
+    of the steps (coordinate i, basis element k at index i*(m+1) + k), read in a
+    signed mixed radix whose digit j spans +-n_max times the largest |key_j| of a
+    step.  Codes add like keys, so a candidate's code is its frontier code plus its
+    step code; they are int64 when the largest code fits and Python ints otherwise.
+    Each layer's new points lower the covering radius (_lower_distances).  The run
+    stops, flagged partial, after the layer that takes it past _POINT_CAP points.
     """
     if not support_points:
         raise ValueError("propagate needs a nonempty finite support")
     if R <= 0:
         raise ValueError("window radius must be positive")
+    if n_max < 1:
+        raise ValueError("propagation needs at least 1 layer")
     if grid_div < 1:
         raise ValueError("the probe grid needs at least 1 division")
+    from scipy.spatial import cKDTree
+
     d = len(support_points[0])
     basis = support_points[0][0].basis
 
@@ -633,25 +640,29 @@ def propagate(
     ))
     denominator = math.lcm(*(f.denominator for s in steps for c in s for f in c))
     step_keys = [tuple(int(f * denominator) for c in s for f in c) for s in steps]
+    radices = [2 * n_max * max(map(abs, digit)) + 1 for digit in zip(*step_keys)]
+    places = [math.prod(radices[:j]) for j in range(len(radices))]  # |code| < prod(radices) / 2
+    step_codes = np.array([sum(map(operator.mul, k, places)) for k in step_keys],
+                          dtype=np.int64 if math.prod(radices) < 2**62 else object)
     floats = basis_floats(basis)
     step_pos = np.array(
         [[float(sum(float(f) * v for f, v in zip(c, floats))) for c in s] for s in steps]
     )
     lim = R + max(float(np.linalg.norm(v)) for v in step_pos)
 
-    front_keys = [(0,) * (d * (basis.size + 1))]
-    seen = set(front_keys)
+    seen = front_codes = np.zeros(1, step_codes.dtype)  # seen: the sorted codes reached
     layers = [np.zeros((1, d))]
     grid = _probe_grid(d, R, grid_div)
-    dmin = _nearest(grid, layers[0], math.inf)
+    grid_tree = cKDTree(grid, balanced_tree=False, compact_nodes=False)  # ~2x faster to build
+    dmin, _ = cKDTree(layers[0]).query(grid)
 
     state = PropagationState(R=R, sizes=[], deltas=[])
     front_pos = layers[0]
     for _ in range(n_max):
-        front_keys, front_pos = _next_layer(front_keys, front_pos, step_keys, step_pos, lim, seen)
+        front_codes, front_pos, seen = _next_layer(
+            front_codes, front_pos, step_codes, step_pos, lim, seen)
         layers.append(front_pos)
-        if front_keys:
-            dmin = np.minimum(dmin, _nearest(grid, front_pos, dmin.max()))
+        _lower_distances(dmin, grid, grid_tree, front_pos, R)
         if len(seen) > _POINT_CAP:
             state.flagged_partial = True
         state.deltas.append(float(dmin.max()))
@@ -666,29 +677,56 @@ def propagate(
 
 _POINT_CAP = 5_000_000  # points after which propagate stops, flagged partial
 _CANDIDATES_PER_PASS = 1 << 16  # bounds the temporary arrays of one numpy pass
+_QUERY_ABOVE = 16  # a layer of more expected pairs per grid point queries the whole grid
+_MAX_PAIRS = 1 << 16  # so does one of more pairs: 3 numbers a pair, about 5 MB while listed
 
 
-def _next_layer(front_keys, front_pos, step_keys, step_pos, lim, seen):
-    """Keys and floats of the points one step from the frontier that are new and in the window.
+def _next_layer(front_codes, front_pos, step_codes, step_pos, lim, seen):
+    """Codes and floats of the points one step from the frontier that are new and in
+    the window, and `seen` (sorted codes) with their codes merged in.
 
-    Adds the new keys to `seen`.  Candidates are frontier float + step float, tested
-    against the window in numpy passes over blocks of frontier rows.
+    Candidates are frontier float + step float, tested against the window in numpy
+    passes over blocks of frontier rows; the first in (frontier, step) order claims
+    each new code.
     """
+    if not len(front_codes):  # no layer after an empty one reaches a point
+        return front_codes, front_pos, seen
     n_steps, d = step_pos.shape
     rows = max(1, _CANDIDATES_PER_PASS // n_steps)
-    new_keys, new_pos = [], [np.empty((0, d))]
-    for lo in range(0, len(front_keys), rows):
+    codes, picks = [], []
+    for lo in range(0, len(front_codes), rows):
         cand = (front_pos[lo : lo + rows, None, :] + step_pos[None, :, :]).reshape(-1, d)
-        picks = []
-        for idx in np.flatnonzero(np.linalg.norm(cand, axis=1) <= lim).tolist():
-            f, s = divmod(idx, n_steps)
-            key = tuple(map(operator.add, front_keys[lo + f], step_keys[s]))
-            if key not in seen:
-                seen.add(key)
-                new_keys.append(key)
-                picks.append(idx)
-        new_pos.append(cand[picks])
-    return new_keys, np.concatenate(new_pos)
+        inside = np.flatnonzero(np.linalg.norm(cand, axis=1) <= lim) + lo * n_steps
+        f, s = np.divmod(inside, n_steps)
+        codes.append(front_codes[f] + step_codes[s])
+        picks.append(inside)
+    codes, picks = np.concatenate(codes), np.concatenate(picks)
+    unique, first = np.unique(codes, return_index=True)  # first occurrences: a stable sort
+    at = np.searchsorted(seen, unique)
+    new = seen[np.minimum(at, len(seen) - 1)] != unique
+    first = np.sort(first[new])
+    f, s = np.divmod(picks[first], n_steps)
+    return codes[first], front_pos[f] + step_pos[s], np.insert(seen, at[new], unique[new])
+
+
+def _lower_distances(dmin, grid, grid_tree, points, R):
+    """Lower each grid point's distance in `dmin` to that of the nearest of `points`.
+
+    Only distances up to delta = max(dmin) can lower an entry.  The (grid point, point)
+    pairs within delta come from the grid's tree unless their expected count, about
+    len(points) * len(grid) * (delta / R)^d, exceeds _QUERY_ABOVE * len(grid) or
+    _MAX_PAIRS; then a tree of the points is queried for the whole grid instead.
+    """
+    from scipy.spatial import cKDTree
+
+    delta = dmin.max()
+    expected = len(points) * len(grid) * (delta / R) ** grid.shape[1]
+    if expected > min(_QUERY_ABOVE * len(grid), _MAX_PAIRS):
+        dist, _ = cKDTree(points).query(grid, distance_upper_bound=delta)
+        np.minimum(dmin, dist, out=dmin)
+    elif len(points):
+        pairs = grid_tree.sparse_distance_matrix(cKDTree(points), delta, output_type="ndarray")
+        np.minimum.at(dmin, pairs["i"], pairs["v"])
 
 
 def _probe_grid(d, R, grid_div):
@@ -697,18 +735,6 @@ def _probe_grid(d, R, grid_div):
     xs = np.linspace(-R, R, grid_div + 1)
     mesh = np.stack(np.meshgrid(*([xs] * d)), axis=-1).reshape(-1, d)
     return mesh[np.linalg.norm(mesh, axis=1) <= R]
-
-
-def _nearest(grid: np.ndarray, points: np.ndarray, bound: float) -> np.ndarray:
-    """Distance from each grid point to the nearest of `points`; inf where it exceeds bound.
-
-    A running minimum lowered with this over each new layer, bounded by its own
-    maximum, stays exact: a new point that is closer than an entry is within the bound.
-    """
-    from scipy.spatial import cKDTree
-
-    dist, _ = cKDTree(points).query(grid, distance_upper_bound=bound)
-    return dist
 
 
 # -- density probe --------------------------------------------------------------------

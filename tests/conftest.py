@@ -97,3 +97,90 @@ def coefficient_bounds(G):
     top = min(Fraction(G[i][i]) for i in range(r))
     ginv_diag = [rl.solve(G, [Fraction(int(j == i)) for j in range(r)])[i] for i in range(r)]
     return [math.isqrt(int(top * g)) + 1 for g in ginv_diag]
+
+
+def reference_propagate(support_points, R, n_max, grid_div):
+    """Oracle for `numerics.propagate` (no target): each layer deduplicated in a Python set
+    of key tuples, candidate by candidate, and its covering radius lowered by a k-d tree
+    query of the whole grid.  Reads the pass size and the point cap from `numerics`."""
+    import numpy as np
+
+    from liouville import numerics
+    from liouville.exactreal import basis_floats
+
+    d = len(support_points[0])
+    basis = support_points[0][0].basis
+
+    steps = list(dict.fromkeys(
+        tuple(c.coords for c in q) for p in support_points for q in (p, tuple(-c for c in p))
+    ))
+    denominator = math.lcm(*(f.denominator for s in steps for c in s for f in c))
+    step_keys = [tuple(int(f * denominator) for c in s for f in c) for s in steps]
+    floats = basis_floats(basis)
+    step_pos = np.array(
+        [[float(sum(float(f) * v for f, v in zip(c, floats))) for c in s] for s in steps]
+    )
+    lim = R + max(float(np.linalg.norm(v)) for v in step_pos)
+
+    front_keys = [(0,) * (d * (basis.size + 1))]
+    seen = set(front_keys)
+    layers = [np.zeros((1, d))]
+    grid = numerics._probe_grid(d, R, grid_div)
+    dmin = _nearest(grid, layers[0], math.inf)
+
+    state = numerics.PropagationState(R=R, sizes=[], deltas=[])
+    front_pos = layers[0]
+    for _ in range(n_max):
+        front_keys, front_pos = _next_layer(front_keys, front_pos, step_keys, step_pos, lim, seen)
+        layers.append(front_pos)
+        if front_keys:
+            dmin = np.minimum(dmin, _nearest(grid, front_pos, dmin.max()))
+        if len(seen) > numerics._POINT_CAP:
+            state.flagged_partial = True
+        state.deltas.append(float(dmin.max()))
+        state.sizes.append(len(seen))
+        if state.flagged_partial:
+            break
+    state.positions = np.concatenate(layers)
+    return state
+
+
+def _next_layer(front_keys, front_pos, step_keys, step_pos, lim, seen):
+    """Keys and floats of the points one step from the frontier that are new and in the window.
+
+    Adds the new keys to `seen`.  Candidates are frontier float + step float, tested
+    against the window in numpy passes over blocks of frontier rows.
+    """
+    import operator
+
+    import numpy as np
+
+    from liouville import numerics
+
+    n_steps, d = step_pos.shape
+    rows = max(1, numerics._CANDIDATES_PER_PASS // n_steps)
+    new_keys, new_pos = [], [np.empty((0, d))]
+    for lo in range(0, len(front_keys), rows):
+        cand = (front_pos[lo : lo + rows, None, :] + step_pos[None, :, :]).reshape(-1, d)
+        picks = []
+        for idx in np.flatnonzero(np.linalg.norm(cand, axis=1) <= lim).tolist():
+            f, s = divmod(idx, n_steps)
+            key = tuple(map(operator.add, front_keys[lo + f], step_keys[s]))
+            if key not in seen:
+                seen.add(key)
+                new_keys.append(key)
+                picks.append(idx)
+        new_pos.append(cand[picks])
+    return new_keys, np.concatenate(new_pos)
+
+
+def _nearest(grid, points, bound):
+    """Distance from each grid point to the nearest of `points`; inf where it exceeds bound.
+
+    A running minimum lowered with this over each new layer, bounded by its own
+    maximum, stays exact: a new point that is closer than an entry is within the bound.
+    """
+    from scipy.spatial import cKDTree
+
+    dist, _ = cKDTree(points).query(grid, distance_upper_bound=bound)
+    return dist

@@ -293,6 +293,31 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == "error: the probe grid needs at least 1 division\n"
 
+    @pytest.mark.parametrize("name", ["discrete_laplacian.yaml", "nonuniform_grid_2d.yaml"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_propagate_rejects_fewer_than_one_layer(self, capsys, name, n):
+        # both used to print a header-only CSV and "probe: inconclusive" with exit 0
+        code, out, err = run(capsys, "propagate", spec_path(name), "--n-max", n)
+        assert code == 2 and out == ""
+        assert err == "error: propagation needs at least 1 layer\n"
+
+    @pytest.mark.parametrize("name", ["fractional.yaml", "discrete_laplacian.yaml"])
+    @pytest.mark.parametrize("r0", ["inf", "nan"])
+    def test_verify_rejects_a_nonfinite_r0(self, capsys, name, r0):
+        # inf used to end in an OverflowError traceback, nan in "bound 0"
+        code, out, err = run(capsys, "verify", spec_path(name), "--points", "1", "--r0", r0)
+        assert code == 2 and out == ""
+        assert err == "error: r0 must be positive and finite\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("verify", "fractional.yaml"), ("counterexample", "discrete_laplacian.yaml")])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_points_below_one_are_an_input_error(self, capsys, command, name, n):
+        # 0 used to run no evaluation with exit 0, a negative count to fail inside numpy
+        code, out, err = run(capsys, command, spec_path(name), "--points", n)
+        assert code == 2 and out == ""
+        assert err == "error: --points must be at least 1\n"
+
     def test_verify_seed_reproducible(self, capsys):
         args = ["verify", spec_path("mean_value.yaml"), "--no-timestamp",
                 "--function", "harmonic_xy", "--points", "3", "--seed", "11"]

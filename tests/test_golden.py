@@ -9,7 +9,9 @@ exit-2 message for a spec where Liouville holds.
 
 The propagate files hold the CSV (stdout) and the probe lines (stderr) of
 `liouville propagate` on every bundled spec with finite support points at a small
-window, and at the configurations of the probe-fallback benchmark workload.  The
+window, and at the configurations of the probe-fallback benchmark workload, and on
+the 3-D lattice `tests/golden/lattice_3d.yaml` (atoms (1,0,0), (0,1,0), (0,0,sqrt2),
+(1/2,1/3,0)) at `--R 2 --n-max 8 --grid-div 20`.  The
 sequence specs are left out: with their 2,000 and 200 steps each run takes
 minutes and gigabytes even at the small window.  `probe_products.decide.txt` and
 `probe_products.closure.txt` are the reports of an input the exact closure cannot
@@ -59,22 +61,25 @@ FINITE_SPECS = (
     "nonuniform_grid_2d",
     "sqrt2_pair",
 )
-# golden name -> propagate arguments after the spec path
-PROPAGATE_CASES = {f"{spec}.propagate": (spec, SMALL_WINDOW) for spec in FINITE_SPECS}
-PROPAGATE_CASES.update({
-    "nonuniform_grid_2d.propagate-R3-n30-g100": (
-        "nonuniform_grid_2d", ["--R", "3", "--n-max", "30", "--grid-div", "100"]),
-    "kronecker_sqrt2_sqrt3.propagate-R3-n12-g60": (
-        "kronecker_sqrt2_sqrt3", ["--R", "3", "--n-max", "12", "--grid-div", "60"]),
-    "kronecker_rational.propagate-R3-n20-g60": (
-        "kronecker_rational", ["--R", "3", "--n-max", "20", "--grid-div", "60"]),
-    "sqrt2_pair.propagate-R5-n40": ("sqrt2_pair", ["--R", "5", "--n-max", "40"]),
-    "discrete_laplacian.propagate-R5-n40": ("discrete_laplacian", ["--R", "5", "--n-max", "40"]),
-})
 PROBE_INPUT = os.path.join(GOLDEN_DIR, "probe_products.yaml")
 PROBE_COMMANDS = ("decide", "closure")
 FRACTIONAL_2D = os.path.join(GOLDEN_DIR, "fractional_2d.yaml")
 CONVOLUTION_3D = os.path.join(GOLDEN_DIR, "convolution_3d.yaml")
+LATTICE_3D = os.path.join(GOLDEN_DIR, "lattice_3d.yaml")
+# golden name -> (input path, propagate arguments after it)
+PROPAGATE_CASES = {f"{spec}.propagate": (spec_path(spec), SMALL_WINDOW) for spec in FINITE_SPECS}
+PROPAGATE_CASES.update({
+    "nonuniform_grid_2d.propagate-R3-n30-g100": (
+        spec_path("nonuniform_grid_2d"), ["--R", "3", "--n-max", "30", "--grid-div", "100"]),
+    "kronecker_sqrt2_sqrt3.propagate-R3-n12-g60": (
+        spec_path("kronecker_sqrt2_sqrt3"), ["--R", "3", "--n-max", "12", "--grid-div", "60"]),
+    "kronecker_rational.propagate-R3-n20-g60": (
+        spec_path("kronecker_rational"), ["--R", "3", "--n-max", "20", "--grid-div", "60"]),
+    "sqrt2_pair.propagate-R5-n40": (spec_path("sqrt2_pair"), ["--R", "5", "--n-max", "40"]),
+    "discrete_laplacian.propagate-R5-n40": (
+        spec_path("discrete_laplacian"), ["--R", "5", "--n-max", "40"]),
+    "lattice_3d.propagate-R2-n8-g20": (LATTICE_3D, ["--R", "2", "--n-max", "8", "--grid-div", "20"]),
+})
 
 VERIFY_ARGS = ["--no-timestamp", "--points", "4", "--seed", "1"]
 # golden name -> (input path, verify arguments after VERIFY_ARGS; a later option wins)
@@ -103,8 +108,8 @@ def capture(command: str, spec: str) -> str:
 
 
 def capture_propagate(name: str) -> str:
-    spec, extra = PROPAGATE_CASES[name]
-    return run(["propagate", spec_path(spec)] + extra)
+    path, extra = PROPAGATE_CASES[name]
+    return run(["propagate", path] + extra)
 
 
 def capture_verify(name: str) -> str:
@@ -141,7 +146,7 @@ def test_every_golden_file_is_a_captured_case():
     names = {f"{spec}.{command}" for command in COMMANDS for spec in SPECS}
     names |= {f"probe_products.{command}" for command in PROBE_COMMANDS}
     names |= set(PROPAGATE_CASES) | set(VERIFY_CASES)
-    inputs = (PROBE_INPUT, FRACTIONAL_2D, CONVOLUTION_3D)
+    inputs = (PROBE_INPUT, FRACTIONAL_2D, CONVOLUTION_3D, LATTICE_3D)
     expected = {name + ".txt" for name in names} | {os.path.basename(p) for p in inputs}
     assert sorted(set(os.listdir(GOLDEN_DIR)) - expected) == []
 

@@ -1,9 +1,11 @@
 import math
+import os
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, spatial
 
 from liouville.decider import decide
 from liouville.exactreal import ConstantBasis
@@ -19,7 +21,9 @@ from liouville.numerics import (
     propagate,
     sphere_area,
 )
-from conftest import PI_50, SQRT2_50, er, spec_path
+from conftest import PI_50, SQRT2_50, SQRT3_50, er, reference_propagate, spec_path
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def load(name):
@@ -277,11 +281,118 @@ class TestPropagate:
             (er(sqrt2_basis, Fraction(1, 2), 1), er(sqrt2_basis, 1, 0)),
         ]
         long = propagate(pts, R=2.0, n_max=9, grid_div=30)
-        for layers in (0, 4, 9):
+        for layers in (1, 4, 9):
             short = propagate(pts, R=2.0, n_max=layers, grid_div=30)
             cut = long.prefix(layers)
             assert (cut.n, cut.sizes, cut.deltas) == (short.n, short.sizes, short.deltas)
             assert cut.positions.tolist() == short.positions.tolist()
+        origin = long.prefix(0)
+        assert (origin.n, origin.sizes, origin.deltas) == (0, [], [])
+        assert origin.positions.tolist() == [[0.0, 0.0]]
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_rejects_fewer_than_one_layer(self, plain_basis, n_max):
+        with pytest.raises(ValueError, match="at least 1 layer"):
+            propagate(points_1d(plain_basis, er(plain_basis, 1)), R=2.0, n_max=n_max)
+
+
+# (R, n_max, grid_div) of the oracle comparisons
+ORACLE_CONFIGS = ((2.0, 6, 16), (1.5, 10, 30))
+ORACLE_BASES = {
+    1: ConstantBasis(),
+    2: ConstantBasis(("sqrt2",), (SQRT2_50,)),
+    3: ConstantBasis(("sqrt2", "sqrt3"), (SQRT2_50, SQRT3_50)),
+}
+
+
+def random_support(rng, d, basis):
+    """One to three atoms with small rational coordinates over the basis, not all zero."""
+    while True:
+        pts = [
+            tuple(er(basis, *(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                              if rng.random() < 0.6 else 0 for _ in range(basis.size + 1)))
+                  for _ in range(d))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if any(c.coords != (0,) * (basis.size + 1) for p in pts for c in p):
+            return pts
+
+
+def assert_matches_oracle(pts, R, n_max, grid_div):
+    state = propagate(pts, R=R, n_max=n_max, grid_div=grid_div)
+    ref = reference_propagate(pts, R, n_max, grid_div)
+    assert (state.sizes, state.deltas, state.flagged_partial) == (
+        ref.sizes, ref.deltas, ref.flagged_partial)
+    assert state.positions.shape == ref.positions.shape
+    assert state.positions.tobytes() == ref.positions.tobytes()
+    return state
+
+
+class TestPropagateOracle:
+    """`propagate` against the key-set and per-layer-query oracle, bit for bit."""
+
+    @pytest.mark.parametrize("m", sorted(ORACLE_BASES))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_supports(self, d, m):
+        rng = random.Random(100 * d + m)
+        for _ in range(12):
+            pts = random_support(rng, d, ORACLE_BASES[m])
+            for config in ORACLE_CONFIGS:
+                assert_matches_oracle(pts, *config)
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 2)])
+    def test_codes_beyond_int64(self, d, m):
+        basis = ORACLE_BASES[m]
+        small = [Fraction(1, 10**15), Fraction(1, 3**20)]
+        assert math.lcm(*(q.denominator for q in small)) > 2**63
+        if d == 1:
+            pts = [(er(basis, 1),), (er(basis, small[0]),), (er(basis, small[1]),)]
+        else:
+            pts = [(er(basis, 1, 0), er(basis, 0, small[0])), (er(basis, small[1], 0), er(basis, 0, 1))]
+        for config in ORACLE_CONFIGS:
+            assert_matches_oracle(pts, *config)
+
+    def test_layer_over_several_passes(self):
+        basis = ORACLE_BASES[3]
+        rng = random.Random(7)
+        pts = [(er(basis, *(rng.randint(-5, 5) for _ in range(3))),) for _ in range(40)]
+        steps = {q for (c,) in pts for q in (c.coords, (-c).coords)}
+        state = assert_matches_oracle(pts, 3.0, 3, 16)
+        frontier = state.sizes[1] - state.sizes[0]  # the third layer's
+        assert frontier * len(steps) > 2 * numerics._CANDIDATES_PER_PASS
+
+    def test_point_cap(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_POINT_CAP", 100)
+        rng = random.Random(3)
+        flagged = [assert_matches_oracle(random_support(rng, d, ORACLE_BASES[3]), 2.0, 10, 16)
+                   .flagged_partial for d in (1, 2, 3)]
+        assert flagged == [False, True, False]
+
+    @pytest.mark.parametrize("path, config", [
+        (spec_path("nonuniform_grid_2d.yaml"), (3.0, 30, 100)),
+        (spec_path("kronecker_rational.yaml"), (5.0, 12, 200)),
+        (os.path.join(GOLDEN_DIR, "lattice_3d.yaml"), (3.0, 10, 40)),
+    ])
+    def test_layers_on_both_sides_of_the_query_choice(self, monkeypatch, path, config):
+        calls = {"query": 0, "sparse_distance_matrix": 0}
+
+        class Counted(spatial.cKDTree):
+            def query(self, *args, **kwargs):
+                calls["query"] += 1
+                return super().query(*args, **kwargs)
+
+            def sparse_distance_matrix(self, *args, **kwargs):
+                calls["sparse_distance_matrix"] += 1
+                return super().sparse_distance_matrix(*args, **kwargs)
+
+        with open(path) as fh:
+            pts = list(support_of(parse_measure(fh.read())).finite_points)
+        with monkeypatch.context() as patch:
+            patch.setattr(spatial, "cKDTree", Counted)
+            propagate(pts, R=config[0], n_max=config[1], grid_div=config[2])
+        # the origin's query, then at least one layer of each kind
+        assert calls["query"] >= 2 and calls["sparse_distance_matrix"] >= 1
+        assert_matches_oracle(pts, *config)
 
 
 class TestDensityProbe:
