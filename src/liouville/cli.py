@@ -68,12 +68,13 @@ class Report:
         return "\n".join(out)
 
     def to_dict(self):
+        """The items as a dict; a key that repeats maps to the list of its values."""
         d = {}
         for k, v in self.items:
-            d[k] = v.to_dict() if isinstance(v, Report) else (
+            d.setdefault(k, []).append(v.to_dict() if isinstance(v, Report) else (
                 list(v) if isinstance(v, (list, tuple)) else v
-            )
-        return d
+            ))
+        return {k: vs[0] if len(vs) == 1 else vs for k, vs in d.items()}
 
 
 def _load(path: str, args=None):

@@ -397,15 +397,13 @@ def _rational_span_basis(vecs):
 
 
 def _rational_complement(v_span, d):
-    """Coordinate vectors completing v_span to a basis of Q^d."""
-    rows = [list(v) for v in v_span]
-    comp = []
-    for j in range(d):
-        e = [Fraction(int(i == j)) for i in range(d)]
-        cand = rows + [list(c) for c in comp] + [e]
-        if rl.rank(cand) == len(cand):
-            comp.append(tuple(e))
-    return comp
+    """Coordinate vectors completing the independent v_span to a basis of Q^d.
+
+    e_j completes span(v_span, e_0, ..., e_{j-1}) iff coordinate j is not a
+    pivot of v_span's rref with its coordinates reversed.
+    """
+    _, pivots = rl.rref([list(v)[::-1] for v in v_span])
+    return [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d) if d - 1 - j not in pivots]
 
 
 def _column_coordinates(cols, vecs):

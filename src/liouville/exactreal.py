@@ -4,17 +4,17 @@ Numbers are stored as rational coordinate vectors q0*1 + q1*c1 + ... + qm*cm
 over a user-declared constant basis (e.g. {pi} or {sqrt2, sqrt3}).  The user
 asserts Q-linear independence of {1, c1, ..., cm}; under that assertion,
 rationality of ratios is decidable exactly and a value is zero iff all its
-coordinates vanish.
+coordinates vanish.  Signs, floors and floats read the declared decimal
+approximations of the constants, which are exact rationals too.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 
 class BasisMismatchError(ValueError):
@@ -30,18 +30,23 @@ class WitnessCapError(RuntimeError):
 
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# a short exponent: Fraction("1e10000000") would build a ten-million-digit integer
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]{1,3})?")
 
 
 @dataclass(frozen=True)
 class ConstantBasis:
     """Declared real constants, asserted Q-linearly independent with 1.
 
-    ``approximations`` are decimal strings; 50+ digits keep floor
-    computations in the density-witness search reliable.
+    ``approximations`` are decimal numerals; ``values`` holds them as exact
+    rationals, after a leading 1.  Their digit count sets the threshold below
+    which ``ExtendedRational.sign`` cannot tell a value from 0 and the
+    smallest ``eps`` of a density witness.
     """
 
     names: tuple[str, ...] = ()
     approximations: tuple[str, ...] = ()
+    values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.approximations):
@@ -52,17 +57,15 @@ class ConstantBasis:
             if not _IDENT.match(name):
                 raise ValueError(f"bad constant name {name!r}")
         vals = []
-        with mpmath.workdps(self.dps + 10):
-            for name, s in zip(self.names, self.approximations):
-                try:
-                    v = mpmath.mpf(s)
-                except Exception as exc:
-                    raise ValueError(f"bad approximation for {name!r}: {s!r}") from exc
-                if not mpmath.isfinite(v) or v == 0:
-                    raise ValueError(f"approximation of {name!r} must be finite and nonzero")
-                vals.append(v)
-        if len({str(v) for v in vals}) != len(vals):
+        for name, s in zip(self.names, self.approximations):
+            if not (isinstance(s, str) and _DECIMAL.fullmatch(s)):
+                raise ValueError(f"bad approximation for {name!r}: {s!r}")
+            vals.append(Fraction(s))
+            if vals[-1] == 0:
+                raise ValueError(f"approximation of {name!r} must be finite and nonzero")
+        if len(set(vals)) != len(vals):
             raise ValueError("constant approximations must be pairwise distinct")
+        object.__setattr__(self, "values", (Fraction(1), *vals))
 
     @property
     def size(self) -> int:
@@ -77,10 +80,6 @@ class ConstantBasis:
         for s in self.approximations:
             digits.append(sum(ch.isdigit() for ch in s.split("e")[0].split("E")[0]))
         return max(15, min(digits))
-
-    def values(self):
-        """High-precision values of (1, c1, ..., cm) at working precision."""
-        return _basis_values(self)
 
     def index_of(self, name: str) -> int:
         try:
@@ -105,15 +104,9 @@ class ConstantBasis:
 
 
 @functools.lru_cache(maxsize=64)
-def _basis_values(basis: "ConstantBasis"):
-    with mpmath.workdps(basis.dps + 10):
-        return [mpmath.mpf(1)] + [mpmath.mpf(s) for s in basis.approximations]
-
-
-@functools.lru_cache(maxsize=64)
 def basis_floats(basis: "ConstantBasis"):
     """float64 values of (1, c1, ..., cm), for numeric hot paths."""
-    return tuple(float(v) for v in _basis_values(basis))
+    return tuple(map(float, basis.values))
 
 
 @dataclass(frozen=True)
@@ -171,34 +164,24 @@ class ExtendedRational:
 
     # -- numerics ------------------------------------------------------------
 
-    def mpf(self):
-        """Value at the basis working precision."""
-        with mpmath.workdps(self.basis.dps + 10):
-            vals = self.basis.values()
-            return mpmath.fsum(
-                mpmath.mpf(c.numerator) / c.denominator * v
-                for c, v in zip(self.coords, vals)
-                if c != 0
-            )
+    def approx(self) -> Fraction:
+        """The value at the declared approximations of the constants, exactly."""
+        return sum((c * v for c, v in zip(self.coords, self.basis.values) if c), Fraction(0))
 
     def __float__(self):
         if self.is_rational():
             return float(self.coords[0])
-        return float(self.mpf())
+        return float(self.approx())
 
     def sign(self) -> int:
         """Numeric sign, exact for rationals, at declared precision otherwise."""
-        if self.is_rational():
-            q = self.coords[0]
-            return (q > 0) - (q < 0)
-        with mpmath.workdps(self.basis.dps + 10):
-            v = self.mpf()
-            if abs(v) < mpmath.mpf(10) ** (-(self.basis.dps - 5)):
-                raise NotRepresentableError(
-                    "value numerically indistinguishable from 0 at declared precision; "
-                    "independence assertion may be violated"
-                )
-            return 1 if v > 0 else -1
+        v = self.approx()
+        if not self.is_rational() and abs(v) < Fraction(1, 10 ** (self.basis.dps - 5)):
+            raise NotRepresentableError(
+                "value numerically indistinguishable from 0 at declared precision; "
+                "independence assertion may be violated"
+            )
+        return (v > 0) - (v < 0)
 
     def __str__(self):
         return format_coordinate(self)
@@ -210,12 +193,12 @@ class ExtendedRational:
 def floor_split(s: ExtendedRational, p: ExtendedRational) -> tuple[int, float]:
     """(k, t) with s/p = k + t, k an integer and t in [0, 1).
 
-    k is floor(s/p) at the basis working precision; the remainder s - k*p is
-    exact, so s and s + j*p give the same t for every integer j.
+    The quotient of the declared approximations is exact, so s and s + j*p
+    give the same t for every integer j.
     """
-    with mpmath.workdps(s.basis.dps + 10):
-        k = int(mpmath.floor(s.mpf() / p.mpf()))
-        return k, float((s - p.scale(k)).mpf() / p.mpf())
+    q = s.approx() / p.approx()
+    k = math.floor(q)
+    return k, float(q - k)
 
 
 # -- coordinate strings -------------------------------------------------------
@@ -309,22 +292,19 @@ def rational_ratio(a: ExtendedRational, b: ExtendedRational):
 # -- density witness -----------------------------------------------------------
 
 
-def _convergent_denominators(theta, cap):
-    """Denominators of continued-fraction convergents of theta (mpf), <= cap."""
-    h0, h1 = 1, 0  # numerators
-    k0, k1 = 0, 1  # denominators
+def _convergent_denominators(theta: Fraction, cap):
+    """Denominators of continued-fraction convergents of theta, <= cap."""
+    k0, k1 = 0, 1
     x = theta
     out = []
-    floor_guard = mpmath.mpf(10) ** (-(mpmath.mp.dps - 10))
     for _ in range(200):
-        a = int(mpmath.floor(x))
-        h0, h1 = a * h0 + h1, h0
+        a = math.floor(x)
         k0, k1 = a * k0 + k1, k0
         if k0 > cap:
             break
         out.append(k0)
         frac = x - a
-        if frac < floor_guard:
+        if frac == 0:
             break
         x = 1 / frac
     return out
@@ -350,33 +330,32 @@ def density_witness(a: ExtendedRational, b: ExtendedRational, eps: float, cap: i
     if eps < 10.0 ** (-(dps - 12)):
         raise ValueError("eps below the numeric resolution of the declared approximations")
 
-    with mpmath.workdps(dps + 10):
-        av, bv = a.mpf(), b.mpf()
-        theta = bv / av
+    av, bv = a.approx(), b.approx()
+    theta = bv / av
 
-        def value_at(n):
-            return n * bv - mpmath.floor(n * theta) * av
+    def value_at(n):
+        return n * bv - math.floor(n * theta) * av
 
-        n_hit = None
-        for q in _convergent_denominators(theta, cap):
-            v = value_at(q)
+    n_hit = None
+    for q in _convergent_denominators(theta, cap):
+        v = value_at(q)
+        if 0 < v < eps:
+            n_hit = q
+            break
+    if n_hit is None:
+        raise WitnessCapError(f"no witness with n <= {cap} at eps={eps}")
+
+    # smallest n <= n_hit, scanned in float with exact verification
+    theta_f = float(theta)
+    a_f = float(av)
+    chunk = 65536
+    for lo in range(1, n_hit + 1, chunk):
+        ns = np.arange(lo, min(lo + chunk, n_hit + 1), dtype=np.int64)
+        vals = (ns * theta_f % 1.0) * a_f
+        # generous float margin; candidates verified exactly
+        for idx in np.nonzero(vals < eps * (1 + 1e-9) + 1e-12)[0]:
+            n = int(ns[idx])
+            v = value_at(n)
             if 0 < v < eps:
-                n_hit = q
-                break
-        if n_hit is None:
-            raise WitnessCapError(f"no witness with n <= {cap} at eps={eps}")
-
-        # smallest n <= n_hit, scanned in float with exact verification
-        theta_f = float(theta)
-        a_f = float(av)
-        chunk = 65536
-        for lo in range(1, n_hit + 1, chunk):
-            ns = np.arange(lo, min(lo + chunk, n_hit + 1), dtype=np.int64)
-            vals = (ns * theta_f % 1.0) * a_f
-            # generous float margin; candidates verified at full precision
-            for idx in np.nonzero(vals < eps * (1 + 1e-9) + 1e-12)[0]:
-                n = int(ns[idx])
-                v = value_at(n)
-                if 0 < v < eps:
-                    return n, float(v)
-        return n_hit, float(value_at(n_hit))
+                return n, float(v)
+    return n_hit, float(value_at(n_hit))

@@ -291,38 +291,16 @@ def short_vectors(G, slack=1):
 
 
 def complete_primitive(m):
-    """Unimodular integer matrix whose first column is the primitive vector m."""
-    k = len(m)
-    g = math.gcd(*map(abs, m))
-    if g != 1:
+    """Unimodular integer matrix whose first column is the primitive vector m.
+
+    Column operations that reduce the top row of [m^T; I] to (1, 0, ..., 0)
+    turn I into W with m^T W = e_1^T.  U = W^T has U @ m = e_1, so U^-1 has
+    first column m.
+    """
+    cols = hnf_columns([[c] + [int(i == j) for i in range(len(m))] for j, c in enumerate(m)], 1)
+    if not cols or cols[0][0] != 1:
         raise ValueError("vector is not primitive")
-    # track U with U @ m_original = current; do row ops until m = e_1 * 1
-    cur = list(m)
-    U = [[int(i == j) for j in range(k)] for i in range(k)]  # cur = U @ m
-
-    def rowop(i, j, q):  # cur[i] -= q*cur[j]
-        cur[i] -= q * cur[j]
-        for t in range(k):
-            U[i][t] -= q * U[j][t]
-
-    while True:
-        nz = [i for i in range(k) if cur[i] != 0]
-        if len(nz) == 1:
-            break
-        nz.sort(key=lambda i: abs(cur[i]))
-        i0 = nz[0]
-        for i in nz[1:]:
-            rowop(i, i0, cur[i] // cur[i0])
-    i0 = next(i for i in range(k) if cur[i] != 0)
-    if i0 != 0:
-        cur[0], cur[i0] = cur[i0], cur[0]
-        U[0], U[i0] = U[i0], U[0]
-    if cur[0] < 0:
-        cur[0] = -cur[0]
-        U[0] = [-x for x in U[0]]
-    # U @ m = e_1, so U^-1 has first column m; invert exactly
-    inv = invert_unimodular(U)
-    return inv
+    return invert_unimodular([c[1:] for c in cols])
 
 
 def invert_unimodular(U):

@@ -83,6 +83,36 @@ def clear_int_polys(polys):
     return [[int(c * scale) for c in p] for p in polys]
 
 
+def reference_complete_primitive(m):
+    """Oracle for `ratlinalg.complete_primitive`: Euclid's row operations on (m | I).
+
+    U starts as I and follows every row operation, so U @ m = e_1 at the end
+    and U^-1 has first column m.
+    """
+    from liouville import ratlinalg as rl
+
+    k = len(m)
+    if math.gcd(*map(abs, m)) != 1:
+        raise ValueError("vector is not primitive")
+    cur = list(m)
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    while True:
+        nz = sorted((i for i in range(k) if cur[i] != 0), key=lambda i: abs(cur[i]))
+        if len(nz) == 1:
+            break
+        i0 = nz[0]
+        for i in nz[1:]:
+            q = cur[i] // cur[i0]
+            cur[i] -= q * cur[i0]
+            U[i] = [a - q * b for a, b in zip(U[i], U[i0])]
+    i0 = next(i for i in range(k) if cur[i] != 0)
+    cur[0], cur[i0] = cur[i0], cur[0]
+    U[0], U[i0] = U[i0], U[0]
+    if cur[0] < 0:
+        U[0] = [-x for x in U[0]]
+    return rl.invert_unimodular(U)
+
+
 def coefficient_bounds(G):
     """Bounds b_i with |m_i| <= b_i for every m with m^T G m <= min_j G_jj.
 

@@ -142,6 +142,15 @@ class TestReportFormat:
         assert doc["hyperplane_certificate"]["exact"] is True
         assert doc["closure"]["lattice_rank"] == 2
 
+    def test_json_keeps_repeated_keys_as_arrays(self, capsys):
+        _, out, _ = run(
+            capsys, "decide", spec_path("kronecker_rational.yaml"), "--no-timestamp",
+            "--format", "json",
+        )
+        closure = json.loads(out)["closure"]
+        assert closure["lattice_basis_vector"] == ["(1/2, 0)", "(0, 1/3)"]
+        assert closure["v_dimension"] == 0  # a key that occurs once stays a scalar
+
     def test_json_format(self, capsys):
         _, out, _ = run(
             capsys, "decide", spec_path("discrete_laplacian.yaml"), "--no-timestamp",
@@ -348,7 +357,7 @@ def _fresh_interpreter(code):
 
 
 class TestLazyImports:
-    """The exact commands never load scipy or `liouville.numerics`."""
+    """The exact commands never load scipy or `liouville.numerics`; no command loads mpmath."""
 
     def test_exact_commands_skip_scipy_and_numerics(self):
         specs = sorted(os.path.join(SPEC_DIR, f) for f in os.listdir(SPEC_DIR) if f.endswith(".yaml"))
@@ -359,9 +368,20 @@ for command in ("decide", "closure", "decompose", "counterexample"):
     for spec in {specs!r}:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             main([command, spec])
-print(json.dumps([m for m in ("scipy", "liouville.numerics") if m in sys.modules]))
+print(json.dumps([m for m in ("scipy", "mpmath", "liouville.numerics") if m in sys.modules]))
 """)
         assert json.loads(out) == []
+
+    def test_float_commands_skip_mpmath(self):
+        out = _fresh_interpreter(f"""
+import contextlib, io, json, sys
+from liouville.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(["verify", {spec_path("fractional.yaml")!r}, "--function", "cos2pi", "--points", "1"])
+    main(["propagate", {spec_path("sqrt2_pair.yaml")!r}, "--R", "2", "--n-max", "3"])
+print(json.dumps(["liouville.numerics" in sys.modules, "mpmath" in sys.modules]))
+""")
+        assert json.loads(out) == [True, False]
 
     @pytest.mark.parametrize("command, spec", [
         ("decide", "fractional.yaml"),

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,22 @@ class TestConstantBasis:
     def test_dps_counts_digits(self):
         b = ConstantBasis(("pi",), (PI_50,))
         assert b.dps >= 50
+
+    def test_values_are_the_exact_decimals(self):
+        b = ConstantBasis(("a", "b", "c"), ("-1.5e-3", ".25", "7"))
+        assert b.values == (1, Fraction(-3, 2000), Fraction(1, 4), 7)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1/3", " 1.5", "1_5", "1.5e", "0x10", "1.5e1000"])
+    def test_rejects_what_is_not_a_decimal_numeral(self, text):
+        with pytest.raises(ValueError, match="bad approximation"):
+            ConstantBasis(("a",), (text,))
+
+    def test_rejects_a_huge_exponent_at_once(self):
+        # as a Fraction, 10**(10**7) would take seconds to build
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="bad approximation"):
+            ConstantBasis(("a",), (SQRT2_50 + "e10000000",))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestArithmetic:
@@ -86,13 +103,34 @@ class TestFloorSplit:
         assert t == pytest.approx((1 + 5 * math.pi) / (math.pi / 3) - 15, abs=1e-12)
         assert 0 <= t < 1
 
-    # at j = 10**50 the quotient keeps only ~10 fractional digits at the working
-    # precision, so only an exact remainder s - k*p gives t back bit for bit
+    # at j = 10**50 a quotient rounded to the 51 declared digits would keep none
+    # of its fractional digits; the exact quotient gives t back bit for bit
     @pytest.mark.parametrize("j", [-1000, -7, -1, 1, 3, 10**6, 10**50])
     def test_shift_by_period_keeps_the_fraction_bit_for_bit(self, pi_basis, j):
         s, p = er(pi_basis, 1, 5), er(pi_basis, 0, Fraction(1, 3))
         k, t = floor_split(s, p)
         assert floor_split(s + p.scale(j), p) == (k + j, t)
+
+
+class TestSign:
+    # pi's 51 declared digits set the threshold 10**-46 below which sign() gives up
+    @pytest.mark.parametrize("offset, expected", [
+        (Fraction(1, 10**46), -1),
+        (-Fraction(1, 10**46), 1),
+        (Fraction(1, 10**46) - Fraction(1, 10**80), None),
+        (-Fraction(1, 10**46) + Fraction(1, 10**80), None),
+    ])
+    def test_threshold_is_compared_exactly(self, pi_basis, offset, expected):
+        x = er(pi_basis, -(Fraction(PI_50) + offset), 1)  # pi - (pi's approximation + offset)
+        if expected is None:
+            with pytest.raises(NotRepresentableError):
+                x.sign()
+        else:
+            assert x.sign() == expected
+
+    def test_rationals_are_exact_at_any_size(self, pi_basis):
+        assert er(pi_basis, Fraction(1, 10**80), 0).sign() == 1
+        assert er(pi_basis, 0, 0).sign() == 0
 
 
 class TestRationalRatio:

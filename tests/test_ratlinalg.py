@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liouville import ratlinalg as rl
-from conftest import clear_int_polys, coefficient_bounds, scaled_primitive
+from conftest import clear_int_polys, coefficient_bounds, reference_complete_primitive, scaled_primitive
 
 
 def bfs_span_in_box(gens, box, pad):
@@ -378,5 +378,16 @@ class TestUnimodular:
         assert det in (1, -1)
 
     def test_non_primitive_rejected(self):
-        with pytest.raises(ValueError):
-            rl.complete_primitive([2, 4])
+        for m in ([2, 4], [0, 0], [0], []):
+            with pytest.raises(ValueError):
+                rl.complete_primitive(m)
+
+    def test_complete_primitive_matches_row_reduction(self):
+        # every primitive vector in [-5, 5]^k for k <= 3 and in [-3, 3]^4
+        count = 0
+        for k, r in ((1, 5), (2, 5), (3, 5), (4, 3)):
+            for m in itertools.product(range(-r, r + 1), repeat=k):
+                if math.gcd(*m) == 1:
+                    assert rl.complete_primitive(list(m)) == reference_complete_primitive(list(m)), m
+                    count += 1
+        assert count == 3476
