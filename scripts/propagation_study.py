@@ -17,7 +17,7 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from liouville.exactreal import ConstantBasis, ExtendedRational
+from liouville.exactreal import ConstantBasis
 from liouville.numerics import classify_propagation, propagate
 
 SQRT2 = "1.41421356237309504880168872420969807856967187537695"
@@ -33,7 +33,7 @@ def supports():
     yield "one_and_pi", [(bpi.one(),), (bpi.constant("pi"),)]
     yield "one_and_355_113", [
         (plain.one(),),
-        (ExtendedRational(plain, (Fraction(355, 113),)),),
+        (plain.from_rational(Fraction(355, 113)),),
     ]
 
 

@@ -106,21 +106,22 @@ class ClosureError(ValueError):
 
 
 def er_dot(u: Point, v: Point) -> ExtendedRational:
-    """Exact inner product; raises NotRepresentableError on constant products."""
-    acc = u[0].basis.zero()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    """Exact inner product over one denominator; raises NotRepresentableError on constant products."""
+    terms = [a * b for a, b in zip(u, v)]
+    den = math.lcm(*(t.den for t in terms))
+    nums = [[n * (den // t.den) for n in t.nums] for t in terms]
+    return ExtendedRational(u[0].basis, map(sum, zip(*nums)), den)
 
 
 def point_from_fractions(basis: ConstantBasis, vec) -> Point:
-    return tuple(basis.from_rational(Fraction(c)) for c in vec)
+    """A rational vector (ints or Fractions) as a point."""
+    return tuple(map(basis.from_rational, vec))
 
 
 def _slice_point(basis: ConstantBasis, k: int, vec) -> Point:
     """c_k * vec for the k-th basis constant (c_0 = 1) and a rational vector."""
-    pad = (Fraction(0),) * basis.size
-    return tuple(ExtendedRational(basis, pad[:k] + (Fraction(x),) + pad[k:]) for x in vec)
+    pad = (0,) * basis.size
+    return tuple(ExtendedRational(basis, pad[:k] + (x.numerator,) + pad[k:], x.denominator) for x in vec)
 
 
 def _unit_points(basis: ConstantBasis, d: int) -> tuple[Point, ...]:
@@ -128,9 +129,9 @@ def _unit_points(basis: ConstantBasis, d: int) -> tuple[Point, ...]:
 
 
 def rational_parts(p: Point):
-    """Coordinate slices of a point: one rational vector per basis constant."""
-    m = p[0].basis.size + 1
-    return [[c.coords[k] for c in p] for k in range(m)]
+    """(slices, den): p = sum_k c_k * slices[k] / den, one integer vector per basis constant."""
+    den = math.lcm(*(c.den for c in p))
+    return [[c.nums[k] * (den // c.den) for c in p] for k in range(p[0].basis.size + 1)], den
 
 
 def is_rational_point(p: Point) -> bool:
@@ -144,17 +145,9 @@ def scalar_direction_split(p: Point):
     e.g. (pi, 2*pi) = pi * (1, 2).
     """
     pivot = next((c for c in p if not c.is_zero()), None)
-    if pivot is None:
+    ratios = None if pivot is None else [rational_ratio(pivot, c) for c in p]
+    if ratios is None or None in ratios:
         return None
-    ratios = []
-    for c in p:
-        if c.is_zero():
-            ratios.append(Fraction(0))
-            continue
-        r = rational_ratio(pivot, c)
-        if r is None:
-            return None
-        ratios.append(r)
     prim = rl.primitive(ratios)  # its first nonzero entry is the pivot's
     return pivot.scale(Fraction(1, next(x for x in prim if x != 0))), prim
 
@@ -177,7 +170,7 @@ def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
     # the positive support values, one per +- pair, sorted and distinct
     scalars = []
     for x in sorted((p[0] for p in support.finite_points if p[0].sign() > 0), key=float):
-        if not scalars or not (x - scalars[-1]).is_zero():
+        if not scalars or x != scalars[-1]:
             scalars.append(x)
     if not scalars:
         return ClosedSubgroup(1, basis, (), (), Route.TRIVIAL)
@@ -209,15 +202,17 @@ def lattice_hnf(generators) -> tuple[Point, ...]:
     """Hermite-normal-form basis of the lattice spanned by rational points."""
     if not generators:
         return ()
-    cols = rl.hnf_lattice(_rational_rows(generators))
-    return tuple(point_from_fractions(generators[0][0].basis, col) for col in cols)
+    rows, den = _rational_rows(generators)
+    cols = rl.hnf_columns(rows)
+    return tuple(point_from_fractions(generators[0][0].basis, [Fraction(x, den) for x in c]) for c in cols)
 
 
 def _rational_rows(points):
-    """Rational points as rows of Fractions; an exact closure's V and lattices are rational."""
+    """(rows, den): rational points, as an exact closure's V and lattices are, over one denominator."""
     if not all(is_rational_point(p) for p in points):
         raise ClosureError("expected purely rational coordinates")
-    return [[c.coords[0] for c in p] for p in points]
+    den = math.lcm(*(c.den for p in points for c in p))
+    return [[c.nums[0] * (den // c.den) for c in p] for p in points], den
 
 
 # -- multi-d closure ---------------------------------------------------------------
@@ -271,7 +266,7 @@ def _points_closure(basis, d, points):
     """
     # one of p, -p: the one whose first nonzero coefficient is positive
     points = list(dict.fromkeys(
-        p if next(x for c in p for x in c.coords if x != 0) > 0 else negate_point(p) for p in points
+        p if next(x for c in p for x in c.nums if x != 0) > 0 else negate_point(p) for p in points
     ))
     v_basis, lam, routes, witnesses = [], [], [Route.TRIVIAL], []
     for block, span in _rational_blocks(points, d):
@@ -303,13 +298,13 @@ def _rational_blocks(points, d):
     """
     owner, cols = [], []
     for i, p in enumerate(points):
-        for s in rational_parts(p):
+        for s in rational_parts(p)[0]:
             if any(s):
                 owner.append(i)
                 cols.append(s)
     if not cols:
         return []
-    red, pivots = rl.rref([[c[r] for c in cols] for r in range(d)])
+    red, pivots, _ = rl.integer_rref([[c[r] for c in cols] for r in range(d)])
     parent = list(range(len(points)))
 
     def find(i):
@@ -358,8 +353,8 @@ def _annihilator_closure(basis, points, k):
     """
     parts = [rational_parts(p) for p in points]
     for a in range(basis.size + 1):
-        on_frame = [not any(any(s) for j, s in enumerate(sl) if j != a) for sl in parts]
-        frame = [sl[a] for sl, on in zip(parts, on_frame) if on]
+        on_frame = [not any(any(s) for j, s in enumerate(sl) if j != a) for sl, _ in parts]
+        frame = [[Fraction(x, den) for x in sl[a]] for (sl, den), on in zip(parts, on_frame) if on]
         if frame and rl.rank(frame) == k:
             break
     else:
@@ -368,18 +363,18 @@ def _annihilator_closure(basis, points, k):
     if all(on_frame):
         return [], [_slice_point(basis, a, b) for b in B], Route.LATTICE, None
     c = tuple(_frame_coordinates([p for p, on in zip(points, on_frame) if not on], B, basis))
-    rows = []
+    rows = []  # each cleared to integers; a row's scale does not move the kernel
     for e, ys in enumerate(c):
+        den = math.lcm(*(x.den for x in ys))
         for j in range(basis.size + 1):
-            y = [x.coords[j] for x in ys]
+            y = [x.nums[j] * (den // x.den) for x in ys]
             n_coeffs = [0] * len(c)
             if j == a:
-                n_coeffs[e] = -1
+                n_coeffs[e] = -den
             elif not any(y):
                 continue
             rows.append(y + n_coeffs)
-    ints, _ = rl.clear_denominators(rows)
-    annihilator = rl.hnf_lattice([m[:k] for m in rl.integer_kernel(ints)])
+    annihilator = rl.hnf_lattice([m[:k] for m in rl.integer_kernel(rows)])
     if not annihilator:
         return [point_from_fractions(basis, b) for b in B], [], Route.KRONECKER, {"c": c}
     s = len(annihilator)
@@ -402,23 +397,24 @@ def _rational_complement(v_span, d):
     e_j completes span(v_span, e_0, ..., e_{j-1}) iff coordinate j is not a
     pivot of v_span's rref with its coordinates reversed.
     """
-    _, pivots = rl.rref([list(v)[::-1] for v in v_span])
-    return [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d) if d - 1 - j not in pivots]
+    _, pivots, _ = rl.integer_rref([list(v)[::-1] for v in v_span])
+    return [tuple(int(i == j) for i in range(d)) for j in range(d) if d - 1 - j not in pivots]
 
 
 def _column_coordinates(cols, vecs):
-    """Coordinates of each rational vector along independent rational columns.
+    """(coords, den): coordinates of each rational vector along independent rational columns.
 
-    One rref of [cols | vecs].  Row operations keep every linear relation among
-    the columns, so a vector in the span of cols reads its coordinates off the
-    first len(cols) rows and vanishes below them; a vector outside gets None.
+    One fraction-free rref of [cols | vecs].  Row operations keep every linear
+    relation among the columns, so a vector in the span of cols reads its
+    coordinates, as integers over den, off the first len(cols) rows and
+    vanishes below them; a vector outside gets None.
     """
     n = len(cols)
-    red, _ = rl.rref([list(row) for row in zip(*cols, *vecs)])
+    red, _, den = rl.integer_rref([list(row) for row in zip(*cols, *vecs)])
     return [
         None if any(row[j] for row in red[n:]) else [row[j] for row in red[:n]]
         for j in range(n, n + len(vecs))
-    ]
+    ], den
 
 
 def _frame_coordinates(points, cols, basis):
@@ -429,8 +425,10 @@ def _frame_coordinates(points, cols, basis):
     into one `_column_coordinates` call.  Every point must lie in the span of cols.
     """
     m = basis.size + 1
-    ys = _column_coordinates(cols, [s for p in points for s in rational_parts(p)])
-    return [tuple(ExtendedRational(basis, y) for y in zip(*ys[i:i + m])) for i in range(0, len(ys), m)]
+    parts = [rational_parts(p) for p in points]
+    ys, den = _column_coordinates(cols, [s for sl, _ in parts for s in sl])
+    return [tuple(ExtendedRational(basis, y, den * d) for y in zip(*ys[i * m:i * m + m]))
+            for i, (_, d) in enumerate(parts)]
 
 
 def _combine(coeffs, vecs, zero) -> tuple:
@@ -464,7 +462,7 @@ def orthogonalize(group: ClosedSubgroup) -> ClosedSubgroup:
     """
     if not group.v_basis or not group.lambda_basis:
         return group
-    vr = _rational_rows(group.v_basis)
+    vr, _ = _rational_rows(group.v_basis)
     perp = rl.nullspace(vr)
     perp_points = [point_from_fractions(group.basis, w) for w in perp]
     origin = (group.basis.zero(),) * group.dimension
@@ -490,7 +488,7 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
         raise ClosureError("closure is dense; no hyperplane certificate exists")
     d = group.dimension
     basis = group.basis
-    h_rows = _rational_rows(group.v_basis)
+    h_rows, _ = _rational_rows(group.v_basis)
     c_point, c_dir = None, []
     if group.lambda_basis:
         splits = [scalar_direction_split(v) for v in group.lambda_basis]
@@ -506,7 +504,7 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
                 vr.append([r * x for x in w])
 
         def dot(u, v):
-            return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+            return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
         mvec, _ = rl.shortest_vector(vr, dot)
         zero = (Fraction(0),) * d
@@ -519,14 +517,8 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
 
     # pad H to dimension d-1 with rational vectors orthogonal to everything used
     pad_rows = h_rows + c_dir
-    padding = rl.nullspace(pad_rows) if pad_rows else [
-        [Fraction(int(i == j)) for i in range(d)] for j in range(d)
-    ]
-    h_basis_vecs = list(h_rows)
-    for vec in padding:
-        if len(h_basis_vecs) >= d - 1:
-            break
-        h_basis_vecs.append(list(vec))
+    padding = rl.nullspace(pad_rows) if pad_rows else [[int(i == j) for i in range(d)] for j in range(d)]
+    h_basis_vecs = h_rows + padding[:max(0, d - 1 - len(h_rows))]
     if len(h_basis_vecs) != d - 1:
         raise ClosureError("failed to assemble a codimension-1 hyperplane")
     if h_basis_vecs:
@@ -535,7 +527,7 @@ def hyperplane_certificate(group: ClosedSubgroup, support: SupportDescriptor) ->
             raise ClosureError("hyperplane basis is degenerate")
         normal = point_from_fractions(basis, rl.primitive(normal_vecs[0]))
     else:
-        normal = point_from_fractions(basis, [Fraction(1)])
+        normal = point_from_fractions(basis, [1])
     if c_point is None:
         c_point = _canonical_sign(normal)
     cert = HyperplaneCertificate(normal=normal, c=c_point)
@@ -657,15 +649,14 @@ def _coset_keys(points, group: ClosedSubgroup):
     slice: one rational system in m, the same for all points, whose columns are
     the lambda_i's W coordinates over every constant slice.
     """
-    vr = _rational_rows(group.v_basis)
+    vr, _ = _rational_rows(group.v_basis)
     lam = group.lambda_basis
     frame = vr + _rational_complement(vr, group.dimension)
-    coords = _frame_coordinates(list(lam) + list(points), frame, group.basis)
-    flat = [[x for c in y[len(vr):] for x in c.coords] for y in coords]
-    keys = []
-    for m in _column_coordinates(flat[:len(lam)], flat[len(lam):]):
-        keys.append(None if m is None or any(c.denominator != 1 for c in m) else [int(c) for c in m])
-    return keys
+    ws = [y[len(vr):] for y in _frame_coordinates(list(lam) + list(points), frame, group.basis)]
+    den = math.lcm(*(c.den for w in ws for c in w))
+    flat = [[x * (den // c.den) for c in w for x in c.nums] for w in ws]
+    ms, den = _column_coordinates(flat[:len(lam)], flat[len(lam):])
+    return [None if m is None or any(x % den for x in m) else [x // den for x in m] for m in ms]
 
 
 def _separation(group: ClosedSubgroup) -> float:

@@ -1,10 +1,12 @@
 """Exact arithmetic over a declared basis of Q-linearly independent constants.
 
-Numbers are stored as rational coordinate vectors q0*1 + q1*c1 + ... + qm*cm
-over a user-declared constant basis (e.g. {pi} or {sqrt2, sqrt3}).  The user
-asserts Q-linear independence of {1, c1, ..., cm}; under that assertion,
-rationality of ratios is decidable exactly and a value is zero iff all its
-coordinates vanish.  Signs, floors and floats read the declared decimal
+A number is (n0*1 + n1*c1 + ... + nm*cm) / den over a user-declared constant
+basis (e.g. {pi} or {sqrt2, sqrt3}): an integer vector over one denominator
+(Cohen, *A Course in Computational Algebraic Number Theory*, §4.2), kept with
+den > 0 and gcd(den, n0, ..., nm) = 1, so equal numbers have equal fields.
+The user asserts Q-linear independence of {1, c1, ..., cm}; under that
+assertion, rationality of ratios is decidable exactly and a value is zero iff
+all its numerators vanish.  Signs, floors and floats read the declared decimal
 approximations of the constants, which are exact rationals too.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,19 +37,25 @@ _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]{1,3})?")
 
 
+def mantissa_digits(s: str) -> int:
+    """Digits a decimal numeral carries: those before its exponent."""
+    return sum(ch.isdigit() for ch in re.split("[eE]", s)[0])
+
+
 @dataclass(frozen=True)
 class ConstantBasis:
     """Declared real constants, asserted Q-linearly independent with 1.
 
-    ``approximations`` are decimal numerals; ``values`` holds them as exact
-    rationals, after a leading 1.  Their digit count sets the threshold below
-    which ``ExtendedRational.sign`` cannot tell a value from 0 and the
-    smallest ``eps`` of a density witness.
+    ``approximations`` are decimal numerals; ``value_nums`` holds them exactly,
+    after a leading 1, as integers over the common denominator
+    ``value_nums[0]``.  Their digit count sets the threshold below which
+    ``ExtendedRational.sign`` cannot tell a value from 0 and the smallest
+    ``eps`` of a density witness.
     """
 
     names: tuple[str, ...] = ()
     approximations: tuple[str, ...] = ()
-    values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    value_nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.approximations):
@@ -65,21 +74,17 @@ class ConstantBasis:
                 raise ValueError(f"approximation of {name!r} must be finite and nonzero")
         if len(set(vals)) != len(vals):
             raise ValueError("constant approximations must be pairwise distinct")
-        object.__setattr__(self, "values", (Fraction(1), *vals))
+        den = math.lcm(*(v.denominator for v in vals))
+        object.__setattr__(self, "value_nums", (den, *(v.numerator * den // v.denominator for v in vals)))
 
     @property
     def size(self) -> int:
         return len(self.names)
 
-    @property
+    @functools.cached_property
     def dps(self) -> int:
         """Decimal digits carried by the least precise approximation."""
-        if not self.approximations:
-            return 50
-        digits = []
-        for s in self.approximations:
-            digits.append(sum(ch.isdigit() for ch in s.split("e")[0].split("E")[0]))
-        return max(15, min(digits))
+        return max(15, min(map(mantissa_digits, self.approximations), default=50))
 
     def index_of(self, name: str) -> int:
         try:
@@ -88,95 +93,116 @@ class ConstantBasis:
             raise KeyError(f"unknown constant {name!r}") from None
 
     def zero(self) -> "ExtendedRational":
-        return ExtendedRational(self, (Fraction(0),) * (self.size + 1))
+        return ExtendedRational(self, (0,) * (self.size + 1))
 
     def one(self) -> "ExtendedRational":
         return self.from_rational(1)
 
     def from_rational(self, q) -> "ExtendedRational":
-        coords = [Fraction(q)] + [Fraction(0)] * self.size
-        return ExtendedRational(self, tuple(coords))
+        """q, an int or a Fraction, over this basis."""
+        return ExtendedRational(self, (q.numerator,) + (0,) * self.size, q.denominator)
 
     def constant(self, name: str) -> "ExtendedRational":
-        coords = [Fraction(0)] * (self.size + 1)
-        coords[1 + self.index_of(name)] = Fraction(1)
-        return ExtendedRational(self, tuple(coords))
+        nums = [0] * (self.size + 1)
+        nums[1 + self.index_of(name)] = 1
+        return ExtendedRational(self, nums)
 
 
 @functools.lru_cache(maxsize=64)
 def basis_floats(basis: "ConstantBasis"):
     """float64 values of (1, c1, ..., cm), for numeric hot paths."""
-    return tuple(map(float, basis.values))
+    return tuple(v / basis.value_nums[0] for v in basis.value_nums)
 
 
-@dataclass(frozen=True)
 class ExtendedRational:
-    """q0 + q1*c1 + ... + qm*cm with exact rational coordinates."""
+    """(n0 + n1*c1 + ... + nm*cm) / den: integers nums = (n0, ..., nm) and den > 0
+    in lowest terms, gcd(den, *nums) = 1; one gcd normalizes every result.
 
-    basis: ConstantBasis
-    coords: tuple[Fraction, ...]
+    Immutable by convention, as Fraction is: the hash reads nums and den.
+    """
 
-    def __post_init__(self):
-        if len(self.coords) != self.basis.size + 1:
-            raise ValueError("coordinate vector length must be 1 + number of constants")
+    __slots__ = ("basis", "nums", "den")
+
+    def __init__(self, basis: ConstantBasis, nums, den: int = 1):
+        nums = tuple(nums)
+        if len(nums) != len(basis.value_nums):  # 1 + number of constants
+            raise ValueError("numerator vector length must be 1 + number of constants")
+        if not den:
+            raise ZeroDivisionError("denominator 0")
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        self.basis, self.nums, self.den = basis, nums, den
+
+    def __eq__(self, other):
+        if not isinstance(other, ExtendedRational):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums and (
+            self.basis is other.basis or self.basis == other.basis)
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
 
     # -- algebra ------------------------------------------------------------
 
     def _check(self, other: "ExtendedRational"):
-        if self.basis != other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise BasisMismatchError("operands use different constant bases")
 
     def __add__(self, other):
         self._check(other)
-        return ExtendedRational(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        return ExtendedRational(self.basis, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __sub__(self, other):
-        self._check(other)
-        return ExtendedRational(self.basis, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self):
-        return ExtendedRational(self.basis, tuple(-a for a in self.coords))
+        return ExtendedRational(self.basis, [-x for x in self.nums], self.den)
 
     def scale(self, q) -> "ExtendedRational":
-        """Multiply every coordinate by the exact rational q."""
-        q = Fraction(q)
-        return ExtendedRational(self.basis, tuple(a * q for a in self.coords))
+        """Multiply by the exact rational q, an int or a Fraction."""
+        n = q.numerator
+        return ExtendedRational(self.basis, [x * n for x in self.nums], self.den * q.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, ExtendedRational):
             self._check(other)
-            if other.is_rational():
-                return self.scale(other.coords[0])
-            if self.is_rational():
-                return other.scale(self.coords[0])
-            raise NotRepresentableError("product of two irrational values leaves the basis span")
+            a, b = (self, other) if other.is_rational() else (other, self)
+            if not b.is_rational():
+                raise NotRepresentableError("product of two irrational values leaves the basis span")
+            return ExtendedRational(a.basis, [x * b.nums[0] for x in a.nums], a.den * b.den)
         return NotImplemented
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     # -- numerics ------------------------------------------------------------
 
+    def _approx_num(self) -> int:
+        """The value at the declared approximations, times den * basis.value_nums[0]."""
+        return sum(map(operator.mul, self.nums, self.basis.value_nums))
+
     def approx(self) -> Fraction:
         """The value at the declared approximations of the constants, exactly."""
-        return sum((c * v for c, v in zip(self.coords, self.basis.values) if c), Fraction(0))
+        return Fraction(self._approx_num(), self.den * self.basis.value_nums[0])
 
-    def __float__(self):
-        if self.is_rational():
-            return float(self.coords[0])
-        return float(self.approx())
+    def __float__(self):  # int / int rounds correctly, as float(Fraction) does
+        return self._approx_num() / (self.den * self.basis.value_nums[0])
 
     def sign(self) -> int:
         """Numeric sign, exact for rationals, at declared precision otherwise."""
-        v = self.approx()
-        if not self.is_rational() and abs(v) < Fraction(1, 10 ** (self.basis.dps - 5)):
+        v, scale = self._approx_num(), self.den * self.basis.value_nums[0]  # the value is v / scale
+        if not self.is_rational() and abs(v) * 10 ** (self.basis.dps - 5) < scale:
             raise NotRepresentableError(
                 "value numerically indistinguishable from 0 at declared precision; "
                 "independence assertion may be violated"
@@ -217,7 +243,7 @@ def parse_coordinate(text: str, basis: ConstantBasis) -> ExtendedRational:
     Only rational literals and declared constant names are allowed; no
     floating literals.
     """
-    coords = [Fraction(0)] * (basis.size + 1)
+    terms = []  # (slot, numerator, denominator) per term
     pos = 0
     first = True
     text = text.strip()
@@ -232,29 +258,31 @@ def parse_coordinate(text: str, basis: ConstantBasis) -> ExtendedRational:
             raise ValueError(f"missing +/- between terms in {text!r}")
         s = -1 if sign == "-" else 1
         if m.group("name2") is not None:
-            coeff = Fraction(s)
-            name = m.group("name2")
+            n, d, name = s, 1, m.group("name2")
         else:
-            coeff = Fraction(m.group("coeff")) * s
-            name = m.group("name1")
-        if name is None:
-            coords[0] += coeff
-        else:
-            coords[1 + basis.index_of(name)] += coeff
+            n, _, d = m.group("coeff").partition("/")
+            n, d, name = s * int(n), int(d or 1), m.group("name1")
+        if not d:
+            raise ValueError(f"zero denominator in coordinate {text!r}")
+        terms.append((0 if name is None else 1 + basis.index_of(name), n, d))
         pos = m.end()
         first = False
-    return ExtendedRational(basis, tuple(coords))
+    den = math.lcm(*(d for _, _, d in terms))
+    nums = [0] * (basis.size + 1)
+    for k, n, d in terms:
+        nums[k] += n * (den // d)
+    return ExtendedRational(basis, nums, den)
 
 
 def format_coordinate(x: ExtendedRational) -> str:
     """Canonical inverse of parse_coordinate."""
     parts = []
-    if x.coords[0] != 0:
-        parts.append(str(x.coords[0]))
-    for q, name in zip(x.coords[1:], x.basis.names):
+    if x.nums[0] != 0:
+        parts.append(str(Fraction(x.nums[0], x.den)))
+    for q, name in zip(x.nums[1:], x.basis.names):
         if q == 0:
             continue
-        term = f"{abs(q)}*{name}"
+        term = f"{Fraction(abs(q), x.den)}*{name}"
         if not parts:
             parts.append(term if q > 0 else f"-{term}")
         else:
@@ -275,17 +303,17 @@ def format_point(p) -> str:
 def rational_ratio(a: ExtendedRational, b: ExtendedRational):
     """Return the exact rational r with b = r*a, or None when b/a is irrational.
 
-    The ratio is rational iff b's coordinate vector is a rational multiple of
+    The ratio is rational iff b's numerator vector is a rational multiple of
     a's; anything else (e.g. pi/sqrt2) reports irrational under the declared
     independence assertion.
     """
     a._check(b)
     if a.is_zero():
         raise ZeroDivisionError("rational_ratio requires a != 0")
-    i = next(k for k, c in enumerate(a.coords) if c != 0)
-    r = b.coords[i] / a.coords[i]
-    if all(bc == r * ac for ac, bc in zip(a.coords, b.coords)):
-        return r
+    i = next(k for k, c in enumerate(a.nums) if c != 0)
+    ai, bi = a.nums[i], b.nums[i]
+    if all(bk * ai == ak * bi for ak, bk in zip(a.nums, b.nums)):
+        return Fraction(bi * a.den, ai * b.den)
     return None
 
 

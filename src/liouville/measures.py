@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import typing
 from dataclasses import dataclass, fields, replace
@@ -21,9 +22,10 @@ from .exactreal import (
     ConstantBasis,
     ExtendedRational,
     format_point,
+    mantissa_digits,
     parse_coordinate,
 )
-from .ratlinalg import primitive
+from .ratlinalg import clear_denominators, primitive
 
 
 class MeasureSpecError(ValueError):
@@ -59,8 +61,9 @@ def _poly_deg(c):
     return len(c) - 1
 
 
-def _poly_eval(c, n) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(c, n):
+    """c(n) by Horner's rule: an int for integer coefficients."""
+    acc = 0
     for coef in reversed(c):
         acc = acc * n + coef
     return acc
@@ -93,27 +96,24 @@ def _poly_divmod(a, b):
 
 def _poly_ext_gcd(a, b):
     """(g, u, v) with u*a + v*b = g over Q[x]; g monic gcd."""
+
+    def minus(a, b):
+        return _poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
     r0, r1 = _poly_trim(a), _poly_trim(b)
     u0, u1 = [Fraction(1)], []
     v0, v1 = [], [Fraction(1)]
     while r1:
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, _poly_trim([x - y for x, y in _zip_pad(u0, _poly_mul(q, u1) if q else [])])
-        v0, v1 = v1, _poly_trim([x - y for x, y in _zip_pad(v0, _poly_mul(q, v1) if q else [])])
+        u0, u1 = u1, minus(u0, _poly_mul(q, u1))
+        v0, v1 = v1, minus(v0, _poly_mul(q, v1))
     if r0:
         lead = r0[-1]
         r0 = [c / lead for c in r0]
         u0 = [c / lead for c in u0]
         v0 = [c / lead for c in v0]
     return r0, u0, v0
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
 
 
 def _poly_positive_root_free(c, what):
@@ -123,8 +123,9 @@ def _poly_positive_root_free(c, what):
         raise MeasureSpecError(f"{what} is identically zero")
     lead = abs(c[-1])
     bound = 1 + max((abs(x) for x in c[:-1]), default=Fraction(0)) / lead
+    (ints,), _ = clear_denominators([c])
     for n in range(1, int(bound) + 2):
-        if _poly_eval(c, n) == 0:
+        if _poly_eval(ints, n) == 0:
             raise MeasureSpecError(f"{what} vanishes at n={n}")
 
 
@@ -154,7 +155,7 @@ class WeightRule:
         if self.kind == "constant":
             return self.c
         if self.kind == "power":
-            return self.c / Fraction(n) ** self.s
+            return self.c / n**self.s
         return self.c * self.r**n
 
     def total_bound(self) -> float:
@@ -236,8 +237,14 @@ class PolyRatioSequence(_Template):
     template = "poly_ratio"
     keys = _Template.keys + ("numerator", "denominator")
 
+    @functools.cached_property
+    def _integer_polys(self):
+        """num and den times one common integer: integer polynomials with the same ratio."""
+        return clear_denominators([self.num, self.den])[0]
+
     def scalar(self, n: int) -> Fraction:
-        return _poly_eval(self.num, n) / _poly_eval(self.den, n)
+        num, den = self._integer_polys
+        return Fraction(_poly_eval(num, n), _poly_eval(den, n))
 
     def decay_order(self) -> int:
         """deg(den) - deg(num); positive means points decay to 0."""
@@ -282,7 +289,8 @@ class PolyRatioSequence(_Template):
         d = self.decay_order()
         tail = 2.0 * float(sum(abs(c) for c in num)) / float(abs(den[-1]))
         n1 = int(2 * sum(abs(c) for c in den) / abs(den[-1])) + 1
-        scan = max(abs(float(self.scalar(n))) * n**d for n in range(1, n1 + 1))
+        P, Q = self._integer_polys
+        scan = max(abs(_poly_eval(P, n) / _poly_eval(Q, n)) * n**d for n in range(1, n1 + 1))
         return max(scan, tail)
 
     def levy_tail_bound(self, n0: int) -> float:
@@ -674,7 +682,7 @@ def parse_measure(text: str, symmetry_override: str | None = None) -> LevyMeasur
         if not isinstance(entry, dict) or "name" not in entry or "value" not in entry:
             raise MeasureSpecError(f"constants[{i}] needs 'name' and 'value'")
         value = str(entry["value"])
-        if sum(ch.isdigit() for ch in value) < 50:
+        if mantissa_digits(value) < 50:
             raise MeasureSpecError(
                 f"constant {entry['name']!r}: approximation must carry >= 50 digits"
             )

@@ -635,18 +635,16 @@ def propagate(
     d = len(support_points[0])
     basis = support_points[0][0].basis
 
-    steps = list(dict.fromkeys(
-        tuple(c.coords for c in q) for p in support_points for q in (p, tuple(-c for c in p))
-    ))
-    denominator = math.lcm(*(f.denominator for s in steps for c in s for f in c))
-    step_keys = [tuple(int(f * denominator) for c in s for f in c) for s in steps]
+    steps = list(dict.fromkeys(q for p in support_points for q in (p, tuple(-c for c in p))))
+    denominator = math.lcm(*(c.den for s in steps for c in s))
+    step_keys = [tuple(n * (denominator // c.den) for c in s for n in c.nums) for s in steps]
     radices = [2 * n_max * max(map(abs, digit)) + 1 for digit in zip(*step_keys)]
     places = [math.prod(radices[:j]) for j in range(len(radices))]  # |code| < prod(radices) / 2
     step_codes = np.array([sum(map(operator.mul, k, places)) for k in step_keys],
                           dtype=np.int64 if math.prod(radices) < 2**62 else object)
     floats = basis_floats(basis)
     step_pos = np.array(
-        [[float(sum(float(f) * v for f, v in zip(c, floats))) for c in s] for s in steps]
+        [[float(sum(n / c.den * v for n, v in zip(c.nums, floats))) for c in s] for s in steps]
     )
     lim = R + max(float(np.linalg.norm(v)) for v in step_pos)
 

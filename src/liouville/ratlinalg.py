@@ -1,8 +1,10 @@
 """Exact rational linear algebra and integer lattice utilities.
 
-Matrices are lists of row tuples with Fraction entries; lattice routines work
-on integer column vectors with arbitrary-precision ints.  Everything here is
-small dense desk-scale math: correctness over asymptotics.
+Matrices are lists of rows of rationals (ints or Fractions); lattice routines
+work on integer column vectors with arbitrary-precision ints.  Every rational
+routine runs one integer-preserving elimination (`integer_rref`, after Bareiss,
+Math. Comp. 22 (1968)) and divides by its one denominator at the end.
+Everything here is small dense desk-scale math: correctness over asymptotics.
 """
 
 from __future__ import annotations
@@ -11,38 +13,49 @@ import math
 from fractions import Fraction
 
 
-def _rows(mat):
-    return [list(map(Fraction, r)) for r in mat]
+def _cleared(row):
+    """(ints, d) with row = ints / d, d the lcm of the entries' denominators."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def integer_rref(mat):
+    """Fraction-free reduced row echelon form: (rows, pivot_columns, den), rref = rows / den.
+
+    Each row is cleared to integers once.  Pivot p in row r turns every other
+    row into (p * row_i - row_i[c] * row_r) / p_prev, p_prev the previous pivot:
+    the division is exact, since each entry is then a minor of the cleared
+    matrix, and every pivot entry ends equal to den, the last pivot (1 if none).
+    """
+    rows = [_cleared(r)[0] for r in mat]
+    pivots, prev = [], 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+        if r + 1 == len(rows):
+            break
+    return rows, pivots, prev
 
 
 def rref(mat):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = _rows(mat)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    rows, pivots, den = integer_rref(mat)
+    return [[Fraction(x, den) for x in row] for row in rows], pivots
 
 
 def rank(mat) -> int:
-    return len(rref(mat)[1])
+    return len(integer_rref(mat)[1])
 
 
 def solve(mat, rhs):
@@ -50,34 +63,30 @@ def solve(mat, rhs):
 
     Free variables are set to 0.
     """
-    rows = _rows(mat)
-    if not rows:
-        return [] if all(Fraction(b) == 0 for b in rhs) else None
-    aug = [row + [Fraction(b)] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0])
+    if not mat:
+        return [] if all(b == 0 for b in rhs) else None
+    red, pivots, den = integer_rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    ncols = len(mat[0])
     if ncols in pivots:
         return None  # pivot in the rhs column
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
+        x[c] = Fraction(red[r][ncols], den)
     return x
 
 
 def nullspace(mat):
     """Basis of the rational kernel {x : mat @ x = 0}."""
-    rows = _rows(mat)
-    if not rows:
+    red, pivots, den = integer_rref(mat)
+    if not red:
         return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(red[0])
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = Fraction(-red[r][fc], den)
         basis.append(v)
     return basis
 
@@ -93,15 +102,14 @@ def left_dependency(rows):
 
 def clear_denominators(vecs):
     """Scale rational vectors by one common lcm; returns (int_vectors, lcm)."""
-    denoms = [c.denominator for v in vecs for c in map(Fraction, v)]
-    scale = math.lcm(*denoms) if denoms else 1
-    ints = [[int(Fraction(c) * scale) for c in v] for v in vecs]
-    return ints, scale
+    cleared = [_cleared(v) for v in vecs]
+    scale = math.lcm(*(d for _, d in cleared))
+    return [[x * (scale // d) for x in ints] for ints, d in cleared], scale
 
 
 def primitive(vec):
     """The primitive integer vector on the ray of a nonzero rational vector, same sign."""
-    (ints,), _ = clear_denominators([vec])
+    ints, _ = _cleared(vec)
     g = math.gcd(*ints)
     return [c // g for c in ints]
 
@@ -150,8 +158,7 @@ def hnf_columns(cols, top_rows=None):
 
 def hnf_lattice(generators):
     """HNF basis of the lattice generated by rational vectors."""
-    gens = [list(map(Fraction, g)) for g in generators]
-    gens = [g for g in gens if any(c != 0 for c in g)]
+    gens = [g for g in generators if any(g)]
     if not gens:
         return []
     ints, scale = clear_denominators(gens)
@@ -190,8 +197,8 @@ def lattice_member(basis, target):
     basis: rational vectors; target: rational vector.
     """
     if not basis:
-        return [] if all(Fraction(c) == 0 for c in target) else None
-    mat = [[Fraction(b[i]) for b in basis] for i in range(len(target))]
+        return [] if all(c == 0 for c in target) else None
+    mat = [[b[i] for b in basis] for i in range(len(target))]
     x = solve(mat, target)
     if x is None:
         return None
@@ -306,13 +313,9 @@ def complete_primitive(m):
 def invert_unimodular(U):
     """Exact inverse of an integer matrix with determinant +-1."""
     k = len(U)
-    aug = [[Fraction(U[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)]
-           for i in range(k)]
-    red, pivots = rref(aug)
+    red, pivots, den = integer_rref([list(U[i]) + [int(i == j) for j in range(k)] for i in range(k)])
     if pivots != list(range(k)):
         raise ValueError("matrix is singular")
-    inv = [[red[i][k + j] for j in range(k)] for i in range(k)]
-    out = [[int(c) for c in row] for row in inv]
-    if any(Fraction(out[i][j]) != inv[i][j] for i in range(k) for j in range(k)):
+    if any(x % den for row in red for x in row[k:]):
         raise ValueError("matrix is not unimodular")
-    return out
+    return [[x // den for x in row[k:]] for row in red]

@@ -38,13 +38,21 @@ def sqrt23_basis():
 
 
 def er(basis, *coords):
-    return ExtendedRational(basis, tuple(Fraction(c) for c in coords))
+    """q0 + q1*c1 + ... from rational coordinates q_k: cleared to integers over one denominator."""
+    coords = [Fraction(c) for c in coords]
+    den = math.lcm(*(c.denominator for c in coords))
+    return ExtendedRational(basis, [c.numerator * (den // c.denominator) for c in coords], den)
+
+
+def coords(x):
+    """The rational coordinates (q0, q1, ...) of an ExtendedRational: its numerators over den."""
+    return tuple(Fraction(n, x.den) for n in x.nums)
 
 
 def rational(x):
     """The Fraction that a rational ExtendedRational equals; fails on an irrational one."""
     assert x.is_rational(), x
-    return x.coords[0]
+    return Fraction(x.nums[0], x.den)
 
 
 def spec_path(name):
@@ -81,6 +89,68 @@ def clear_int_polys(polys):
     nums = [abs(c.numerator) for p in polys for c in p if c != 0]
     scale = Fraction(math.lcm(*denoms) if denoms else 1, math.gcd(*nums) if nums else 1)
     return [[int(c * scale) for c in p] for p in polys]
+
+
+def reference_rref(mat):
+    """Oracle for `ratlinalg.rref`: Gauss-Jordan elimination on Fractions, each pivot row divided first."""
+    rows = [list(map(Fraction, r)) for r in mat]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_solve(mat, rhs):
+    """Oracle for `ratlinalg.solve`: `reference_rref` of the augmented matrix, free variables 0."""
+    if not mat:
+        return [] if all(Fraction(b) == 0 for b in rhs) else None
+    red, pivots = reference_rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    ncols = len(mat[0])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return x
+
+
+def reference_nullspace(mat):
+    """Oracle for `ratlinalg.nullspace`: one kernel vector per free column of `reference_rref`."""
+    if not mat:
+        return []
+    red, pivots = reference_rref(mat)
+    basis = []
+    for fc in (c for c in range(len(mat[0])) if c not in pivots):
+        v = [Fraction(0)] * len(mat[0])
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_poly_eval(c, n):
+    """Oracle for `measures._poly_eval` on rational coefficients: Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for coef in reversed(c):
+        acc = acc * n + coef
+    return acc
 
 
 def reference_complete_primitive(m):
@@ -142,7 +212,7 @@ def reference_propagate(support_points, R, n_max, grid_div):
     basis = support_points[0][0].basis
 
     steps = list(dict.fromkeys(
-        tuple(c.coords for c in q) for p in support_points for q in (p, tuple(-c for c in p))
+        tuple(coords(c) for c in q) for p in support_points for q in (p, tuple(-c for c in p))
     ))
     denominator = math.lcm(*(f.denominator for s in steps for c in s for f in c))
     step_keys = [tuple(int(f * denominator) for c in s for f in c) for s in steps]

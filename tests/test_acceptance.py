@@ -24,12 +24,12 @@ from liouville.closure import (
     rational_parts,
 )
 from liouville.decider import decide, decide_1d
-from liouville.exactreal import ConstantBasis, ExtendedRational
+from liouville.exactreal import ConstantBasis
 from liouville.measures import Atom, LevyMeasure, parse_measure, point_is_zero, support_of, validate_measure
 from liouville.numerics import (
     OperatorEvaluator, SmoothFunction, builtin_function, density_probe, eval_operator, propagate,
 )
-from conftest import PI_50, check_periodicity, spec_path
+from conftest import PI_50, check_periodicity, er, rational, spec_path
 
 from test_ratlinalg import bfs_span_in_box
 
@@ -43,8 +43,8 @@ def in_span(p, v_basis):
     """Exact oracle: every constant slice of p is a rational combination of the rational V."""
     if not v_basis:
         return point_is_zero(p)
-    mat = [[v[i].coords[0] for v in v_basis] for i in range(len(p))]
-    return all(rl.solve(mat, part) is not None for part in rational_parts(p))
+    mat = [[rational(v[i]) for v in v_basis] for i in range(len(p))]
+    return all(rl.solve(mat, part) is not None for part in rational_parts(p)[0])
 
 
 def report(number, ok, detail):
@@ -96,9 +96,9 @@ def _random_supports(count, seed):
         for _ in range(rng.randint(2, 6)):
             q = Fraction(rng.randint(1, 24), rng.randint(1, 12))
             if rng.random() < 0.4:
-                vals.append(ExtendedRational(basis, (Fraction(0), q)))
+                vals.append(er(basis, 0, q))
             else:
-                vals.append(ExtendedRational(basis, (q, Fraction(0))))
+                vals.append(er(basis, q, 0))
         out.append((basis, vals))
     return out
 

@@ -356,6 +356,32 @@ def _fresh_interpreter(code):
     return proc.stdout
 
 
+class TestFractionChurn:
+    """Exact commands run on integer numerators: Fraction objects are built only at the edges.
+
+    The bounds are half the Fraction.__new__ calls a cProfile'd run made when every
+    exact scalar and every elimination step was a Fraction (20,050 and 654).  The
+    counts are deterministic for a fresh interpreter.
+    """
+
+    @pytest.mark.parametrize("command, spec, bound", [
+        ("decide", "growing_sequence.yaml", 20_050 // 2),
+        ("decompose", "kronecker_rational.yaml", 654 // 2),
+    ])
+    def test_fraction_constructions_at_most_half(self, command, spec, bound):
+        out = _fresh_interpreter(f"""
+import cProfile, contextlib, io, pstats
+from liouville.cli import main
+profile = cProfile.Profile()
+with contextlib.redirect_stdout(io.StringIO()):
+    profile.runcall(main, [{command!r}, {spec_path(spec)!r}])
+stats = pstats.Stats(profile).stats
+print(sum(v[1] for (path, _, name), v in stats.items()
+          if path.endswith("fractions.py") and name == "__new__"))
+""")
+        assert 0 < int(out) <= bound
+
+
 class TestLazyImports:
     """The exact commands never load scipy or `liouville.numerics`; no command loads mpmath."""
 

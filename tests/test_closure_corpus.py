@@ -48,7 +48,7 @@ from liouville.measures import (
     support_of,
     validate_measure,
 )
-from conftest import SPEC_DIR, SQRT2_50, SQRT3_50
+from conftest import SPEC_DIR, SQRT2_50, SQRT3_50, rational
 
 BASIS = ConstantBasis(("sqrt2", "sqrt3"), (SQRT2_50, SQRT3_50))
 SLOTS = 3  # basis slots: 1, sqrt2, sqrt3
@@ -61,9 +61,10 @@ def _rat(rng, num=4, den=3):
 
 def _point(slices, d):
     """The point sum_k c_k * slices[k] for a dict slot -> rational vector."""
-    zero = [Fraction(0)] * d
+    zero = [0] * d
+    consts = [BASIS.one()] + [BASIS.constant(name) for name in BASIS.names]
     return tuple(
-        ExtendedRational(BASIS, tuple(Fraction(slices.get(k, zero)[i]) for k in range(SLOTS)))
+        sum((c.scale(Fraction(slices.get(k, zero)[i])) for k, c in enumerate(consts)), BASIS.zero())
         for i in range(d)
     )
 
@@ -175,9 +176,8 @@ def measure_of(points, d):
 
 
 def _in_alpha_z(value: ExtendedRational, a: int) -> bool:
-    return all(c == 0 for k, c in enumerate(value.coords) if k != a) and (
-        value.coords[a].denominator == 1
-    )
+    # in lowest terms, a multiple of c_a is an integer one iff its denominator is 1
+    return value.den == 1 and all(n == 0 for k, n in enumerate(value.nums) if k != a)
 
 
 CASES = corpus()
@@ -232,7 +232,7 @@ def test_skewed_3d_lattice_is_certified_and_decomposed():
     for lam in v.closure.lambda_basis:
         assert _in_alpha_z(er_dot(xi_point, lam), 0)
     # c is the shortest lattice vector, the atom (3/4, 1, -1/2) up to sign
-    c = tuple(x.coords[0] for x in v.certificate.c)
+    c = tuple(rational(x) for x in v.certificate.c)
     assert c in {(Fraction(3, 4), 1, Fraction(-1, 2)), (Fraction(-3, 4), -1, Fraction(1, 2))}
     dec = decompose_measure(mu, v.closure)
     assert dec.separation == math.sqrt(9 / 16 + 1 + 1 / 4)

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from liouville.decider import decide, decide_1d
-from liouville.exactreal import ConstantBasis, ExtendedRational, format_point, rational_ratio
+from liouville.exactreal import ConstantBasis, format_point, rational_ratio
 from liouville.measures import Atom, LevyMeasure, parse_measure, validate_measure
-from conftest import PI_50, SQRT2_50, spec_path
+from conftest import PI_50, SQRT2_50, er, spec_path
 
 
 def load(name):
@@ -27,9 +27,9 @@ def random_support(rng, basis):
     for _ in range(rng.randint(2, 6)):
         q = Fraction(rng.randint(1, 24), rng.randint(1, 12))
         if rng.random() < 0.4:
-            vals.append(ExtendedRational(basis, (Fraction(0), q)))
+            vals.append(er(basis, 0, q))
         else:
-            vals.append(ExtendedRational(basis, (q, Fraction(0))))
+            vals.append(er(basis, q, 0))
     return vals
 
 
@@ -249,12 +249,9 @@ class TestRoutesMultiD:
         from liouville.measures import Atom, LevyMeasure, validate_measure
 
         pts = [
-            (ExtendedRational(sqrt23_basis, (Fraction(0), Fraction(1), Fraction(0))),
-             ExtendedRational(sqrt23_basis, (Fraction(1), Fraction(0), Fraction(0)))),
-            (ExtendedRational(sqrt23_basis, (Fraction(1), Fraction(0), Fraction(0))),
-             ExtendedRational(sqrt23_basis, (Fraction(0), Fraction(0), Fraction(1)))),
-            (ExtendedRational(sqrt23_basis, (Fraction(0), Fraction(1), Fraction(1))),
-             ExtendedRational(sqrt23_basis, (Fraction(3), Fraction(0), Fraction(0)))),
+            (er(sqrt23_basis, 0, 1, 0), er(sqrt23_basis, 1, 0, 0)),
+            (er(sqrt23_basis, 1, 0, 0), er(sqrt23_basis, 0, 0, 1)),
+            (er(sqrt23_basis, 0, 1, 1), er(sqrt23_basis, 3, 0, 0)),
         ]
         mu = validate_measure(
             LevyMeasure(

@@ -1,5 +1,7 @@
 import math
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,16 +11,17 @@ from hypothesis import strategies as st
 from liouville.exactreal import (
     BasisMismatchError,
     ConstantBasis,
-    ExtendedRational,
     NotRepresentableError,
+    ExtendedRational,
     WitnessCapError,
     density_witness,
     floor_split,
     format_coordinate,
+    mantissa_digits,
     parse_coordinate,
     rational_ratio,
 )
-from conftest import PI_50, SQRT2_50, er
+from conftest import PI_50, SQRT2_50, coords, er
 
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
@@ -43,7 +46,9 @@ class TestConstantBasis:
 
     def test_values_are_the_exact_decimals(self):
         b = ConstantBasis(("a", "b", "c"), ("-1.5e-3", ".25", "7"))
-        assert b.values == (1, Fraction(-3, 2000), Fraction(1, 4), 7)
+        assert b.value_nums == (2000, -3, 500, 14000)  # over the common denominator 2000
+        values = tuple(Fraction(v, b.value_nums[0]) for v in b.value_nums)
+        assert values == (1, Fraction(-3, 2000), Fraction(1, 4), 7)
 
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1/3", " 1.5", "1_5", "1.5e", "0x10", "1.5e1000"])
     def test_rejects_what_is_not_a_decimal_numeral(self, text):
@@ -63,14 +68,15 @@ class TestArithmetic:
         # (1 + 0*pi) + (0 + 2*pi) = 1 + 2*pi
         x = er(pi_basis, 1, 0)
         y = er(pi_basis, 0, 2)
-        assert (x + y).coords == (Fraction(1), Fraction(2))
+        assert ((x + y).nums, (x + y).den) == ((1, 2), 1)
 
     def test_negate(self, plain_basis):
-        assert (-er(plain_basis, Fraction(3, 2))).coords == (Fraction(-3, 2),)
+        neg = -er(plain_basis, Fraction(3, 2))
+        assert (neg.nums, neg.den) == ((-3,), 2)
 
     def test_scale_by_rational(self, pi_basis):
         x = er(pi_basis, 0, 1)  # pi
-        assert x.scale(Fraction(1, 3)).coords == (Fraction(0), Fraction(1, 3))
+        assert coords(x.scale(Fraction(1, 3))) == (Fraction(0), Fraction(1, 3))
 
     def test_basis_mismatch_raises(self, pi_basis, sqrt2_basis):
         with pytest.raises(BasisMismatchError):
@@ -88,11 +94,86 @@ class TestArithmetic:
     @given(a=rationals, b=rationals, c=rationals)
     def test_add_commutes_with_value(self, a, b, c):
         basis = ConstantBasis()
-        x = ExtendedRational(basis, (a,))
-        y = ExtendedRational(basis, (b,))
-        assert (x + y).coords[0] == a + b
-        assert (x - y).coords[0] == a - b
-        assert x.scale(c).coords[0] == a * c
+        x = er(basis, a)
+        y = er(basis, b)
+        assert coords(x + y)[0] == a + b
+        assert coords(x - y)[0] == a - b
+        assert coords(x.scale(c))[0] == a * c
+
+
+def random_values(rng, basis, count):
+    """Seeded values with small, huge (above 10**30) and zero coordinates."""
+    def q():
+        kind = rng.random()
+        if kind < 0.25:
+            return 0
+        if kind < 0.4:
+            return Fraction(rng.randint(-10**35, 10**35), rng.randint(1, 10**40))
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+
+    return [er(basis, *(q() for _ in range(basis.size + 1))) for _ in range(count)]
+
+
+def in_lowest_terms(x):
+    return x.den > 0 and math.gcd(x.den, *x.nums) == 1 and all(type(n) is int for n in x.nums)
+
+
+class TestIntegerForm:
+    """nums over one positive den, in lowest terms, whatever operation made the value."""
+
+    def test_every_operation_leaves_lowest_terms(self, sqrt23_basis):
+        rng = random.Random(20261020)
+        values = random_values(rng, sqrt23_basis, 60)
+        rationals_ = [x for x in random_values(rng, sqrt23_basis, 60) if x.is_rational()]
+        for x, y in zip(values, reversed(values)):
+            r = rng.choice(rationals_ + [sqrt23_basis.one()])
+            q = Fraction(rng.randint(-7, 7), rng.randint(1, 9))
+            for z in (x + y, x - y, -x, x.scale(q), x.scale(0), x * r, r * x, x * 3, x - x):
+                assert in_lowest_terms(z), z
+        made = [
+            ExtendedRational(sqrt23_basis, (6, -4, 10), -8),
+            ExtendedRational(sqrt23_basis, (0, 0, 0), 7),
+            sqrt23_basis.from_rational(Fraction(-6, 4)),
+            sqrt23_basis.constant("sqrt3"),
+            sqrt23_basis.zero(),
+            parse_coordinate("2/4 - 3/6*sqrt2 + 10/15*sqrt3", sqrt23_basis),
+        ]
+        assert all(map(in_lowest_terms, made))
+        assert (made[0].nums, made[0].den) == ((-3, 2, -5), 4)
+        assert (made[1].nums, made[1].den) == ((0, 0, 0), 1)
+
+    def test_equal_values_from_different_routes_compare_and_hash_equal(self, sqrt23_basis):
+        rng = random.Random(5)
+        for x, y in zip(random_values(rng, sqrt23_basis, 40), random_values(rng, sqrt23_basis, 40)):
+            for a, b in [
+                (x + y - y, x),
+                (x.scale(Fraction(2, 3)).scale(Fraction(3, 2)), x),
+                (-(-x), x),
+                (x + x, x.scale(2)),
+                (x - x, sqrt23_basis.zero()),
+                (parse_coordinate(format_coordinate(x), sqrt23_basis), x),
+            ]:
+                assert a == b and hash(a) == hash(b)
+        # the multiset check of the decomposition's symmetry pairing relies on this
+        p = (parse_coordinate("1/2 + sqrt2", sqrt23_basis), sqrt23_basis.zero())
+        half = sqrt23_basis.from_rational(Fraction(3, 6))
+        q = (half + sqrt23_basis.constant("sqrt2"), er(sqrt23_basis, 0, 0, 0))
+        one = er(sqrt23_basis, Fraction(2, 2), 0, 0)
+        assert Counter([(p, sqrt23_basis.one())]) == Counter([(q, one)])
+
+    def test_rational_float_matches_fraction_bit_for_bit(self, plain_basis, pi_basis):
+        rng = random.Random(11)
+        cases = [Fraction(1, 3), Fraction(-2, 7), Fraction(10**40 + 1, 3 * 10**39), Fraction(1, 10**400)]
+        for _ in range(500):
+            cases.append(Fraction(rng.randint(-10**50, 10**50), rng.randint(1, 10**rng.randint(0, 60))))
+        for q in cases:
+            for basis in (plain_basis, pi_basis):
+                assert float(basis.from_rational(q)).hex() == float(q).hex()
+
+    def test_mantissa_digits_skip_the_exponent(self):
+        assert mantissa_digits("1.25e-100") == 3
+        assert mantissa_digits("-.5E+12") == 1
+        assert mantissa_digits(PI_50) == 51
 
 
 class TestFloorSplit:
@@ -177,7 +258,7 @@ class TestRationalRatio:
         if a == 0 or b == 0:
             return
         basis = ConstantBasis()
-        r = rational_ratio(ExtendedRational(basis, (a,)), ExtendedRational(basis, (b,)))
+        r = rational_ratio(er(basis, a), er(basis, b))
         assert r is not None
         assert r.denominator * b == r.numerator * a
         assert math.gcd(abs(r.numerator), r.denominator) == 1
@@ -198,8 +279,7 @@ class TestLemRwConsistency:
         basis = ConstantBasis(("pi",), (PI_50,))
         support = []
         for q, use_pi in raw:
-            coords = (Fraction(0), q) if use_pi else (q, Fraction(0))
-            support.append(ExtendedRational(basis, coords))
+            support.append(er(basis, 0, q) if use_pi else er(basis, q, 0))
         sups = []
         for a in support:
             sups.append(any(rational_ratio(a, b) is None for b in support))
@@ -252,10 +332,10 @@ class TestDensityWitness:
 class TestCoordinateStrings:
     def test_parse_mixed(self, pi_basis):
         x = parse_coordinate("3/2 + 1*pi", pi_basis)
-        assert x.coords == (Fraction(3, 2), Fraction(1))
+        assert coords(x) == (Fraction(3, 2), Fraction(1))
 
     def test_parse_bare_name_and_sign(self, pi_basis):
-        assert parse_coordinate("-pi", pi_basis).coords == (Fraction(0), Fraction(-1))
+        assert coords(parse_coordinate("-pi", pi_basis)) == (Fraction(0), Fraction(-1))
 
     def test_roundtrip(self, pi_basis):
         for s in ("0", "-5/3", "1 + 2*pi", "-1/2 - 7/3*pi"):
@@ -269,3 +349,7 @@ class TestCoordinateStrings:
     def test_garbage_rejected(self, pi_basis):
         with pytest.raises(ValueError):
             parse_coordinate("1.5", pi_basis)
+
+    def test_zero_denominator_rejected(self, pi_basis):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_coordinate("1 + 1/0*pi", pi_basis)

@@ -14,6 +14,7 @@ from liouville.decider import decide
 from liouville.measures import GeometricSequence, MeasureSpecError, parse_measure
 from liouville import numerics
 from liouville.numerics import OperatorEvaluator, builtin_function, eval_operator
+from conftest import coords
 
 LINE = """\
 dimension: 1
@@ -58,7 +59,7 @@ def test_points_weights_and_accumulation():
     seq = parse_measure(STRIPES).sequences[0]
     for n in range(1, 7):
         assert seq.scalar(n) == Fraction(1, 2**n)
-        assert tuple(c.coords[0] for c in seq.point(n)) == (Fraction(1, 2**n), 0)
+        assert tuple(coords(c)[0] for c in seq.point(n)) == (Fraction(1, 2**n), 0)
         assert seq.weight(n) == 1
     assert seq.accumulation_scalar() == 0
 
@@ -88,7 +89,7 @@ def test_decompose_puts_the_sequence_in_the_origin_coset():
     assert set(occupied) == {-1, 0, 1}
     seq = mu.sequences[0]
     def exact_key(p):
-        return [c.coords for c in p]
+        return [coords(c) for c in p]
 
     assert sorted((p for p, _ in occupied[0]), key=exact_key) == sorted(
         (q for n in range(1, 7) for q in (seq.point(n), tuple(-c for c in seq.point(n)))),

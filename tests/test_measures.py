@@ -20,7 +20,7 @@ from liouville.measures import (
     parse_measure,
     support_of,
 )
-from conftest import PI_50, SPEC_DIR, spec_path
+from conftest import PI_50, SPEC_DIR, reference_poly_eval, spec_path
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 PROBE_INPUT = os.path.join(os.path.dirname(__file__), "golden", "probe_products.yaml")
@@ -66,6 +66,15 @@ class TestParsing:
             parse_measure(
                 'dimension: 1\nconstants:\n  - {name: pi, value: "3.14159"}\n'
                 'atoms:\n  - {point: ["1*pi"], weight: "1"}\n'
+            )
+
+    def test_exponent_digits_do_not_count_toward_50(self):
+        # 49 mantissa digits and 3 exponent digits: the count is the one ConstantBasis.dps uses
+        value = "1.414213562373095048801688724209698078569671875123e-100"
+        with pytest.raises(MeasureSpecError, match="50 digits"):
+            parse_measure(
+                f'dimension: 1\nconstants:\n  - {{name: a, value: "{value}"}}\n'
+                'atoms:\n  - {point: ["1"], weight: "1"}\n  - {point: ["1*a"], weight: "1"}\n'
             )
 
     def test_strict_symmetry_rejects_missing_mirror(self):
@@ -413,6 +422,17 @@ class TestSequenceTemplates:
             float(min(seq.scalar(n) ** 2, Fraction(1)) * seq.weight(n)) for n in range(1, 1001)
         )
         assert partial <= bound
+
+    def test_integer_horner_matches_the_fraction_oracle(self):
+        seq = PolyRatioSequence(
+            num=(Fraction(-7, 3), Fraction(0), Fraction(5, 2)), den=(Fraction(10**31, 7), Fraction(1, 6)),
+            weights=WeightRule("geometric", Fraction(1), r=Fraction(1, 2)), truncation=5,
+            direction=(measures.ConstantBasis().one(),), declared_accumulation=None,
+        )
+        for n in range(1, 60):
+            want = reference_poly_eval(seq.num, n) / reference_poly_eval(seq.den, n)
+            assert seq.scalar(n) == want
+            assert measures._poly_eval([Fraction(c) for c in seq.num], n) == reference_poly_eval(seq.num, n)
 
     def test_q_certification_unbounded(self):
         mu = load("growing_sequence.yaml")

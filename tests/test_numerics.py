@@ -314,7 +314,7 @@ def random_support(rng, d, basis):
                   for _ in range(d))
             for _ in range(rng.randint(1, 3))
         ]
-        if any(c.coords != (0,) * (basis.size + 1) for p in pts for c in p):
+        if any(any(c.nums) for p in pts for c in p):
             return pts
 
 
@@ -356,7 +356,7 @@ class TestPropagateOracle:
         basis = ORACLE_BASES[3]
         rng = random.Random(7)
         pts = [(er(basis, *(rng.randint(-5, 5) for _ in range(3))),) for _ in range(40)]
-        steps = {q for (c,) in pts for q in (c.coords, (-c).coords)}
+        steps = {q for (c,) in pts for q in (c, -c)}
         state = assert_matches_oracle(pts, 3.0, 3, 16)
         frontier = state.sizes[1] - state.sizes[0]  # the third layer's
         assert frontier * len(steps) > 2 * numerics._CANDIDATES_PER_PASS

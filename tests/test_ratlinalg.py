@@ -9,7 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liouville import ratlinalg as rl
-from conftest import clear_int_polys, coefficient_bounds, reference_complete_primitive, scaled_primitive
+from conftest import (
+    clear_int_polys,
+    coefficient_bounds,
+    reference_complete_primitive,
+    reference_nullspace,
+    reference_rref,
+    reference_solve,
+    scaled_primitive,
+)
 
 
 def bfs_span_in_box(gens, box, pad):
@@ -93,6 +101,67 @@ class TestRref:
         assert lam is not None
         for j in range(2):
             assert sum(l * rows[i][j] for i, l in enumerate(lam)) == 0
+
+
+def random_rational_matrix(rng):
+    """Up to 6 x 8, with zero rows, repeated (scaled) rows and numerators above 10**30."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(1, 8)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return 0
+        if kind < 0.45:
+            return Fraction(rng.randint(-10**35, 10**35), rng.randint(1, 10**5))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.2:
+            rows.append([x * Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for x in rng.choice(rows)])
+        elif kind < 0.3:
+            rows.append([0] * ncols)
+        else:
+            rows.append([entry() for _ in range(ncols)])
+    return rows
+
+
+class TestFractionFreeElimination:
+    """The integer-preserving elimination agrees exactly with Gauss-Jordan on Fractions."""
+
+    def test_matches_the_fraction_oracle_on_seeded_matrices(self):
+        rng = random.Random(20261020)
+        for _ in range(600):
+            mat = random_rational_matrix(rng)
+            red, pivots = rl.rref(mat)
+            assert (red, pivots) == reference_rref(mat)
+            assert all(type(x) is Fraction for row in red for x in row)
+            assert rl.rank(mat) == len(reference_rref(mat)[1])
+            assert rl.nullspace(mat) == reference_nullspace(mat)
+            if mat:
+                x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in mat[0]]
+                consistent = [sum(a * b for a, b in zip(row, x)) for row in mat]
+                other = [Fraction(rng.randint(-5, 5)) for _ in mat]
+                for rhs in (consistent, other):
+                    assert rl.solve(mat, rhs) == reference_solve(mat, rhs)
+
+    def test_every_pivot_ends_at_the_one_denominator(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            mat = random_rational_matrix(rng)
+            rows, pivots, den = rl.integer_rref(mat)
+            assert all(type(x) is int for row in rows for x in row)
+            assert all(rows[r][c] == den for r, c in enumerate(pivots))
+            assert all(not any(row) for row in rows[len(pivots):])
+
+    def test_inverse_of_unimodular_and_singular_matrices(self):
+        assert rl.invert_unimodular([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+        assert rl.invert_unimodular([]) == []
+        with pytest.raises(ValueError, match="singular"):
+            rl.invert_unimodular([[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match="not unimodular"):
+            rl.invert_unimodular([[2, 0], [0, 1]])
 
 
 class TestHnf:
