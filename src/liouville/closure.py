@@ -184,8 +184,9 @@ def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
                 witness={"pair": (a1, b)},
             )
         ratios.append(r)
-    # the HNF basis of a rank-1 lattice of the line is its positive generator
-    g = a1.scale(rl.hnf_lattice([(r,) for r in ratios])[0][0])
+    # the positive generator of the ratios' lattice: gcd of their numerators over one denominator
+    (ints,), den = rl.clear_denominators([ratios])
+    g = a1.scale(Fraction(math.gcd(*ints), den))
     return ClosedSubgroup(1, basis, (), ((g,),), Route.LATTICE)
 
 

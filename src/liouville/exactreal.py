@@ -200,13 +200,19 @@ class ExtendedRational:
         return self._approx_num() / (self.den * self.basis.value_nums[0])
 
     def sign(self) -> int:
-        """Numeric sign, exact for rationals, at declared precision otherwise."""
-        v, scale = self._approx_num(), self.den * self.basis.value_nums[0]  # the value is v / scale
-        if not self.is_rational() and abs(v) * 10 ** (self.basis.dps - 5) < scale:
-            raise NotRepresentableError(
-                "value numerically indistinguishable from 0 at declared precision; "
-                "independence assertion may be violated"
-            )
+        """Numeric sign, exact for rationals, at declared precision otherwise.
+
+        An irrational value is decided when it is at least 10^-(dps-5) times the
+        size of its irrational part, sum |n_i * c_i| over the declared constants.
+        """
+        v = self._approx_num()  # v and size are both over den * value_nums[0]
+        if not self.is_rational():
+            size = sum(map(abs, map(operator.mul, self.nums[1:], self.basis.value_nums[1:])))
+            if abs(v) * 10 ** (self.basis.dps - 5) < size:
+                raise NotRepresentableError(
+                    "value numerically indistinguishable from 0 at declared precision; "
+                    "independence assertion may be violated"
+                )
         return (v > 0) - (v < 0)
 
     def __str__(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import typing
 from dataclasses import dataclass, fields, replace
@@ -25,7 +24,7 @@ from .exactreal import (
     mantissa_digits,
     parse_coordinate,
 )
-from .ratlinalg import clear_denominators, primitive
+from .ratlinalg import clear_denominators, integer_rref, primitive, solve
 
 
 class MeasureSpecError(ValueError):
@@ -47,18 +46,19 @@ def negate_point(p: Point) -> Point:
     return tuple(-c for c in p)
 
 
-# -- rational polynomials (ascending coefficients) ------------------------------
+# -- integer polynomials (ascending coefficients) --------------------------------
+#
+# A gcd, an exact quotient or a Bezout pair is one linear system in the
+# coefficients, over a multiplication matrix or the Sylvester matrix (von zur
+# Gathen & Gerhard, Modern Computer Algebra, ch. 6), solved by ratlinalg's one
+# elimination.
 
 
 def _poly_trim(c):
-    c = list(map(Fraction, c))
+    c = list(c)
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_deg(c):
-    return len(c) - 1
 
 
 def _poly_eval(c, n):
@@ -69,63 +69,36 @@ def _poly_eval(c, n):
     return acc
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
+def _times(p, k):
+    """The matrix of h -> p*h on polynomials h with k coefficients."""
+    return [[p[i - j] if 0 <= i - j < len(p) else 0 for j in range(k)] for i in range(len(p) + k - 1)]
 
 
-def _poly_divmod(a, b):
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while r and len(r) >= len(b):
-        f = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = f
-        for i, coef in enumerate(b):
-            r[k + i] -= f * coef
-        r = _poly_trim(r)
-    return _poly_trim(q), r
+def _sylvester(a, b):
+    """The matrix of (u, v) -> u*a + v*b with deg u < deg b and deg v < deg a."""
+    return [x + y for x, y in zip(_times(a, len(b) - 1), _times(b, len(a) - 1))]
 
 
-def _poly_ext_gcd(a, b):
-    """(g, u, v) with u*a + v*b = g over Q[x]; g monic gcd."""
+def _poly_gcd(a, b):
+    """Monic gcd of nonzero a and b.
 
-    def minus(a, b):
-        return _poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-    r0, r1 = _poly_trim(a), _poly_trim(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, minus(u0, _poly_mul(q, u1))
-        v0, v1 = v1, minus(v0, _poly_mul(q, v1))
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        u0 = [c / lead for c in u0]
-        v0 = [c / lead for c in v0]
-    return r0, u0, v0
+    The Sylvester rows x^i a and x^j b span the multiples of the gcd below
+    degree deg a + deg b; written in descending degree, the last nonzero row of
+    their echelon form is the gcd (Laidacker, Math. Mag. 42 (1969)).
+    """
+    rows, pivots, den = integer_rref([col[::-1] for col in zip(*_sylvester(a, b))])
+    if not pivots:  # two constants
+        return [1]
+    return [Fraction(x, den) for x in rows[len(pivots) - 1][pivots[-1]:][::-1]]
 
 
 def _poly_positive_root_free(c, what):
-    """Reject polynomials vanishing at some integer n >= 1."""
-    c = _poly_trim(c)
+    """Reject integer polynomials vanishing at some integer n >= 1."""
     if not c:
         raise MeasureSpecError(f"{what} is identically zero")
-    lead = abs(c[-1])
-    bound = 1 + max((abs(x) for x in c[:-1]), default=Fraction(0)) / lead
-    (ints,), _ = clear_denominators([c])
-    for n in range(1, int(bound) + 2):
-        if _poly_eval(ints, n) == 0:
+    # every root lies below Cauchy's bound 1 + max|c_i| / |lead|
+    for n in range(1, max(map(abs, c[:-1]), default=0) // abs(c[-1]) + 3):
+        if _poly_eval(c, n) == 0:
             raise MeasureSpecError(f"{what} vanishes at n={n}")
 
 
@@ -239,8 +212,8 @@ class PolyRatioSequence(_Template):
 
     @functools.cached_property
     def _integer_polys(self):
-        """num and den times one common integer: integer polynomials with the same ratio."""
-        return clear_denominators([self.num, self.den])[0]
+        """num and den times one common integer, trailing zeros dropped: the same ratio."""
+        return tuple(map(_poly_trim, clear_denominators([self.num, self.den])[0]))
 
     def scalar(self, n: int) -> Fraction:
         num, den = self._integer_polys
@@ -248,27 +221,27 @@ class PolyRatioSequence(_Template):
 
     def decay_order(self) -> int:
         """deg(den) - deg(num); positive means points decay to 0."""
-        return _poly_deg(_poly_trim(self.den)) - _poly_deg(_poly_trim(self.num))
+        num, den = self._integer_polys
+        return len(den) - len(num)
 
     def accumulation_scalar(self) -> Fraction | None:
         d = self.decay_order()
         if d >= 1:
             return Fraction(0)
         if d == 0:
-            num, den = _poly_trim(self.num), _poly_trim(self.den)
-            return num[-1] / den[-1]
+            num, den = self._integer_polys
+            return Fraction(num[-1], den[-1])
         return None
 
     def validate(self):
-        num, den = _poly_trim(self.num), _poly_trim(self.den)
+        num, den = self._integer_polys
         _poly_positive_root_free(num, "sequence numerator")
         _poly_positive_root_free(den, "sequence denominator")
         if self.truncation < 1:
             raise MeasureSpecError("truncation must be >= 1")
         if point_is_zero(self.direction):
             raise MeasureSpecError("sequence direction must be nonzero")
-        q, r = _poly_divmod(num, den)
-        if not r and _poly_deg(q) == 0:
+        if len(num) == len(den) and all(p * den[-1] == q * num[-1] for p, q in zip(num, den)):
             raise MeasureSpecError("constant sequence; declare an atom instead")
         acc = self.accumulation_scalar()
         if acc != self.declared_accumulation:
@@ -285,11 +258,11 @@ class PolyRatioSequence(_Template):
 
     def _decay_coefficient(self) -> float:
         """C with |scalar(n)| <= C / n^decay_order for all n >= 1."""
-        num, den = _poly_trim(self.num), _poly_trim(self.den)
-        d = self.decay_order()
-        tail = 2.0 * float(sum(abs(c) for c in num)) / float(abs(den[-1]))
-        n1 = int(2 * sum(abs(c) for c in den) / abs(den[-1])) + 1
         P, Q = self._integer_polys
+        d = self.decay_order()
+        # from the declared Fractions: a float of the cleared integers may differ in the last bit
+        tail = 2.0 * float(sum(abs(c) for c in self.num)) / float(abs(_poly_trim(self.den)[-1]))
+        n1 = 2 * sum(map(abs, Q)) // abs(Q[-1]) + 1
         scan = max(abs(_poly_eval(P, n) / _poly_eval(Q, n)) * n**d for n in range(1, n1 + 1))
         return max(scan, tail)
 
@@ -313,26 +286,22 @@ class PolyRatioSequence(_Template):
         acc = self.accumulation_scalar()
         if acc is not None:
             return ("accumulation", acc)
-        num, den = _poly_trim(self.num), _poly_trim(self.den)
-        a1 = self.scalar(1)
+        P, Q = self._integer_polys
         # a_n / a_1 = A(n)/B(n) with integer-coefficient A, B
-        A = [c * _poly_eval(den, 1) for c in num]
-        B = [c * _poly_eval(num, 1) for c in den]
-        g = _poly_ext_gcd(A, B)[0]
-        A = _poly_divmod(A, g)[0]
-        B = _poly_divmod(B, g)[0]
+        A = [c * _poly_eval(Q, 1) for c in P]
+        B = [c * _poly_eval(P, 1) for c in Q]
+        g = _poly_gcd(A, B)
+        A, B = (solve(_times(g, len(p) - len(g) + 1), p) for p in (A, B))
         # one positive rational scales A and B to integers with no common factor
         AB = primitive(A + B)
         A, B = AB[:len(A)], AB[len(A):]
-        if _poly_deg(B) >= 1:
+        if len(B) > 1:
             # gcd(A(n), B(n)) divides a fixed integer L: U*A + V*B = L over Z[x]
-            _, u, v = _poly_ext_gcd(A, B)
-            L = math.lcm(*(c.denominator for c in u + v))
+            uv = solve(_sylvester(A, B), [1] + [0] * (len(A) + len(B) - 3))
+            L = math.lcm(*(c.denominator for c in uv))
             return ("unbounded", {"denominator_poly": tuple(B), "cofactor_bound": L})
-        b0 = abs(B[0])
-        degA = _poly_deg(A)
-        gamma = math.gcd(*(abs(int(_poly_eval(A, n))) for n in range(1, degA + 2)))
-        return ("lattice", abs(a1) * Fraction(gamma, b0))
+        gamma = math.gcd(*(abs(_poly_eval(A, n)) for n in range(1, len(A) + 1)))
+        return ("lattice", abs(self.scalar(1)) * Fraction(gamma, abs(B[0])))
 
 
 @dataclass(frozen=True)

@@ -53,30 +53,18 @@ class SmoothFunction:
 
 def builtin_function(name: str, dimension: int) -> SmoothFunction:
     """Named test functions; all operate on arrays whose last axis indexes coordinates."""
-    if name == "cos":
+    k = {"cos": 1.0, "cos2pi": 2 * math.pi}.get(name)  # cos(k * x_1); 1.0 * x is exact
+    if k is not None:
         return SmoothFunction(
-            "cos",
-            fn=lambda x: np.cos(x[..., 0]),
-            grad_fn=lambda x: _e1_grad(-np.sin(x[0]), dimension),
-            dir2_fn=lambda x, w: -np.cos(x[0]) * w[0] ** 2,
+            name,
+            fn=lambda x: np.cos(k * x[..., 0]),
+            grad_fn=lambda x: _e1_grad(-k * np.sin(k * x[0]), dimension),
+            dir2_fn=lambda x, w: -(k**2) * np.cos(k * x[0]) * w[0] ** 2,
             sup_u=1.0,
-            sup_grad=1.0,
-            sup_hess=1.0,
-            sup_d3=1.0,
-            sup_d4=1.0,
-        )
-    if name == "cos2pi":
-        tp = 2 * math.pi
-        return SmoothFunction(
-            "cos2pi",
-            fn=lambda x: np.cos(tp * x[..., 0]),
-            grad_fn=lambda x: _e1_grad(-tp * np.sin(tp * x[0]), dimension),
-            dir2_fn=lambda x, w: -(tp**2) * np.cos(tp * x[0]) * w[0] ** 2,
-            sup_u=1.0,
-            sup_grad=tp,
-            sup_hess=tp**2,
-            sup_d3=tp**3,
-            sup_d4=tp**4,
+            sup_grad=k,
+            sup_hess=k**2,
+            sup_d3=k**3,
+            sup_d4=k**4,
         )
     if name == "harmonic_xy":
         if dimension < 2:

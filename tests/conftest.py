@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -151,6 +153,164 @@ def reference_poly_eval(c, n):
     for coef in reversed(c):
         acc = acc * n + coef
     return acc
+
+
+# -- the Q[x] Euclid toolkit that `PolyRatioSequence` used before its Sylvester eliminations --
+
+
+def _poly_trim(c):
+    c = list(map(Fraction, c))
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_deg(c):
+    return len(c) - 1
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_divmod(a, b):
+    a = _poly_trim(a)
+    b = _poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while r and len(r) >= len(b):
+        f = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = f
+        for i, coef in enumerate(b):
+            r[k + i] -= f * coef
+        r = _poly_trim(r)
+    return _poly_trim(q), r
+
+
+def _poly_ext_gcd(a, b):
+    """(g, u, v) with u*a + v*b = g over Q[x]; g monic gcd."""
+
+    def minus(a, b):
+        return _poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+    r0, r1 = _poly_trim(a), _poly_trim(b)
+    u0, u1 = [Fraction(1)], []
+    v0, v1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, minus(u0, _poly_mul(q, u1))
+        v0, v1 = v1, minus(v0, _poly_mul(q, v1))
+    if r0:
+        lead = r0[-1]
+        r0 = [c / lead for c in r0]
+        u0 = [c / lead for c in u0]
+        v0 = [c / lead for c in v0]
+    return r0, u0, v0
+
+
+def _poly_positive_root_free(c, what):
+    """Reject polynomials vanishing at some integer n >= 1."""
+    from liouville.measures import MeasureSpecError, _poly_eval
+    from liouville.ratlinalg import clear_denominators
+
+    c = _poly_trim(c)
+    if not c:
+        raise MeasureSpecError(f"{what} is identically zero")
+    lead = abs(c[-1])
+    bound = 1 + max((abs(x) for x in c[:-1]), default=Fraction(0)) / lead
+    (ints,), _ = clear_denominators([c])
+    for n in range(1, int(bound) + 2):
+        if _poly_eval(ints, n) == 0:
+            raise MeasureSpecError(f"{what} vanishes at n={n}")
+
+
+def reference_poly_ratio(seq):
+    """Oracle for `measures.PolyRatioSequence`: `seq` with the methods it had on Q[x] Euclid."""
+    from liouville.measures import MeasureSpecError, PolyRatioSequence, _poly_eval, point_is_zero
+    from liouville.ratlinalg import primitive
+
+    class ReferencePolyRatioSequence(PolyRatioSequence):
+        def decay_order(self) -> int:
+            """deg(den) - deg(num); positive means points decay to 0."""
+            return _poly_deg(_poly_trim(self.den)) - _poly_deg(_poly_trim(self.num))
+
+        def accumulation_scalar(self) -> Fraction | None:
+            d = self.decay_order()
+            if d >= 1:
+                return Fraction(0)
+            if d == 0:
+                num, den = _poly_trim(self.num), _poly_trim(self.den)
+                return num[-1] / den[-1]
+            return None
+
+        def validate(self):
+            num, den = _poly_trim(self.num), _poly_trim(self.den)
+            _poly_positive_root_free(num, "sequence numerator")
+            _poly_positive_root_free(den, "sequence denominator")
+            if self.truncation < 1:
+                raise MeasureSpecError("truncation must be >= 1")
+            if point_is_zero(self.direction):
+                raise MeasureSpecError("sequence direction must be nonzero")
+            q, r = _poly_divmod(num, den)
+            if not r and _poly_deg(q) == 0:
+                raise MeasureSpecError("constant sequence; declare an atom instead")
+            acc = self.accumulation_scalar()
+            if acc != self.declared_accumulation:
+                raise MeasureSpecError(
+                    f"sequence accumulation mismatch: template gives {acc}, "
+                    f"declared {self.declared_accumulation}"
+                )
+            # sum (|a_n|^2 ^ 1) w_n converges when the points decay (|a_n| <= C/n) or when
+            # the weights are summable
+            if self.decay_order() <= 0 and self.weights.total_bound() == math.inf:
+                raise MeasureSpecError(
+                    "divergent Levy integral: weights must be summable for this template"
+                )
+
+        def _decay_coefficient(self) -> float:
+            """C with |scalar(n)| <= C / n^decay_order for all n >= 1."""
+            num, den = _poly_trim(self.num), _poly_trim(self.den)
+            d = self.decay_order()
+            tail = 2.0 * float(sum(abs(c) for c in num)) / float(abs(den[-1]))
+            n1 = int(2 * sum(abs(c) for c in den) / abs(den[-1])) + 1
+            P, Q = self._integer_polys
+            scan = max(abs(_poly_eval(P, n) / _poly_eval(Q, n)) * n**d for n in range(1, n1 + 1))
+            return max(scan, tail)
+
+        def q_certification(self):
+            acc = self.accumulation_scalar()
+            if acc is not None:
+                return ("accumulation", acc)
+            num, den = _poly_trim(self.num), _poly_trim(self.den)
+            a1 = self.scalar(1)
+            # a_n / a_1 = A(n)/B(n) with integer-coefficient A, B
+            A = [c * _poly_eval(den, 1) for c in num]
+            B = [c * _poly_eval(num, 1) for c in den]
+            g = _poly_ext_gcd(A, B)[0]
+            A = _poly_divmod(A, g)[0]
+            B = _poly_divmod(B, g)[0]
+            # one positive rational scales A and B to integers with no common factor
+            AB = primitive(A + B)
+            A, B = AB[:len(A)], AB[len(A):]
+            if _poly_deg(B) >= 1:
+                # gcd(A(n), B(n)) divides a fixed integer L: U*A + V*B = L over Z[x]
+                _, u, v = _poly_ext_gcd(A, B)
+                L = math.lcm(*(c.denominator for c in u + v))
+                return ("unbounded", {"denominator_poly": tuple(B), "cofactor_bound": L})
+            b0 = abs(B[0])
+            degA = _poly_deg(A)
+            gamma = math.gcd(*(abs(int(_poly_eval(A, n))) for n in range(1, degA + 2)))
+            return ("lattice", abs(a1) * Fraction(gamma, b0))
+
+    return ReferencePolyRatioSequence(*(getattr(seq, f.name) for f in dataclasses.fields(seq)))
 
 
 def reference_complete_primitive(m):

@@ -69,6 +69,19 @@ atoms:
         assert code == 20
         assert "verdict: uncertified" in out
 
+    def test_tiny_constant_decides(self, tmp_path, capsys):
+        # a = 1.41...e-100 with 50 mantissa digits: the sign of 1*a is decided relative
+        # to a itself, so the pair (1, a) is irrational and the verdict is certified
+        spec = tmp_path / "tiny.yaml"
+        spec.write_text(
+            "dimension: 1\nconstants:\n"
+            '  - {name: a, value: "1.4142135623730950488016887242096980785696718751234e-100"}\n'
+            'atoms:\n  - {point: ["1"], weight: "1"}\n  - {point: ["1*a"], weight: "1"}\n'
+        )
+        code, out, err = run(capsys, "decide", str(spec), "--no-timestamp")
+        assert (code, err) == (0, "")
+        assert "route: irrational_pair" in out.splitlines()
+
     def test_zero_atom_message(self, tmp_path, capsys):
         spec = tmp_path / "zero.yaml"
         spec.write_text('dimension: 1\natoms:\n  - {point: ["0"], weight: "1"}\n')

@@ -51,6 +51,18 @@ class TestClosure1d:
         assert cl.route == "lattice"
         assert cl.lambda_basis[0][0] == plain_basis.from_rational(Fraction(1, 2))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generator_is_the_hnf_of_the_ratios(self, pi_basis, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            a1 = er(pi_basis, Fraction(rng.randint(1, 30), rng.randint(1, 30)), rng.randint(0, 3))
+            ratios = [Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4)) for _ in range(rng.randint(1, 6))]
+            cl = closure_1d(desc_1d(pi_basis, a1, *(a1.scale(r) for r in ratios)))
+            # the generator is a multiple of the smallest value, whichever value that is
+            a_min = min([a1] + [a1.scale(r) for r in ratios], key=float)
+            want = rl.hnf_lattice([(rational_ratio(a_min, a1.scale(r)),) for r in [1] + ratios])
+            assert cl.lambda_basis == ((a_min.scale(want[0][0]),),)
+
     def test_irrational_pair_dense(self, pi_basis):
         d = desc_1d(pi_basis, er(pi_basis, 1, 0), er(pi_basis, 0, 1))
         cl = closure_1d(d)

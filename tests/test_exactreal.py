@@ -194,12 +194,13 @@ class TestFloorSplit:
 
 
 class TestSign:
-    # pi's 51 declared digits set the threshold 10**-46 below which sign() gives up
+    # pi's 51 declared digits set the relative threshold 10**-46: below pi * 10**-46,
+    # 10**-46 times the size of the irrational part 1 * pi, sign() gives up
     @pytest.mark.parametrize("offset, expected", [
-        (Fraction(1, 10**46), -1),
-        (-Fraction(1, 10**46), 1),
-        (Fraction(1, 10**46) - Fraction(1, 10**80), None),
-        (-Fraction(1, 10**46) + Fraction(1, 10**80), None),
+        (Fraction(PI_50) / 10**46, -1),
+        (-Fraction(PI_50) / 10**46, 1),
+        (Fraction(PI_50) / 10**46 - Fraction(1, 10**80), None),
+        (-Fraction(PI_50) / 10**46 + Fraction(1, 10**80), None),
     ])
     def test_threshold_is_compared_exactly(self, pi_basis, offset, expected):
         x = er(pi_basis, -(Fraction(PI_50) + offset), 1)  # pi - (pi's approximation + offset)

@@ -1,6 +1,9 @@
+import collections
+import dataclasses
 import glob
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +23,15 @@ from liouville.measures import (
     parse_measure,
     support_of,
 )
-from conftest import PI_50, SPEC_DIR, reference_poly_eval, spec_path
+from conftest import (
+    PI_50,
+    SPEC_DIR,
+    _poly_ext_gcd,
+    _poly_mul,
+    reference_poly_eval,
+    reference_poly_ratio,
+    spec_path,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 PROBE_INPUT = os.path.join(os.path.dirname(__file__), "golden", "probe_products.yaml")
@@ -498,6 +509,84 @@ class TestSequenceTemplates:
         )
         assert proc.returncode == 0, proc.stderr
         assert "verdict: holds" in proc.stdout.splitlines()
+
+
+def _random_poly(rng, deg):
+    """Rational coefficients of degree deg, the lead of either sign."""
+    lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg)] + [lead]
+
+
+def _random_poly_ratio(rng):
+    """A (num, den) sequence with common factors, trailing zeros and constant operands."""
+    num, den = _random_poly(rng, rng.randint(0, 3)), _random_poly(rng, rng.randint(0, 3))
+    if rng.random() < 0.02:
+        num = [Fraction(0)]
+    elif rng.random() < 0.4:  # a common factor of degree 1 or 2
+        f = _random_poly(rng, rng.randint(1, 2))
+        num, den = _poly_mul(num, f), _poly_mul(den, f)
+    num += [Fraction(0)] * rng.choice((0, 0, 1, 2))
+    den += [Fraction(0)] * rng.choice((0, 0, 1, 2))
+    weights = rng.choice((
+        WeightRule("constant", Fraction(1)),
+        WeightRule("power", Fraction(1, 2), s=2),
+        WeightRule("geometric", Fraction(3), r=Fraction(1, 2)),
+    ))
+    seq = PolyRatioSequence(tuple(num), tuple(den), weights, 7, _unit_direction())
+    try:
+        acc = reference_poly_ratio(seq).accumulation_scalar()
+    except IndexError:
+        acc = None
+    return dataclasses.replace(seq, declared_accumulation=acc if rng.random() < 0.9 else Fraction(7, 3))
+
+
+def _sequence_outcome(seq):
+    """Everything a report reads of a sequence; floats by their bits."""
+    try:
+        seq.validate()
+    except MeasureSpecError as exc:
+        return "error", str(exc)
+    return (
+        seq.decay_order(), seq.accumulation_scalar(), seq.q_certification(),
+        seq._decay_coefficient().hex(), seq.levy_tail_bound(5).hex(),
+    )
+
+
+class TestSylvesterCertificates:
+    def test_sequences_match_the_euclid_oracle(self):
+        rng = random.Random(2401)
+        kinds = collections.Counter()
+        for _ in range(2400):
+            seq = _random_poly_ratio(rng)
+            got = _sequence_outcome(seq)
+            assert got == _sequence_outcome(reference_poly_ratio(seq)), seq
+            kinds[got[0] if got[0] == "error" else got[2][0]] += 1
+        # each kind of certificate, and validate's errors, come up at least 100 times
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_common_factors_cancel(self):
+        # a_n = (n+1)(n^2+3) / ((n+1)*2): the common factor n+1 leaves (n^2+3)/2
+        seq = PolyRatioSequence(
+            num=tuple(map(Fraction, _poly_mul([1, 1], [3, 0, 1]))), den=(Fraction(2), Fraction(2), Fraction(0)),
+            weights=WeightRule("geometric", Fraction(1), r=Fraction(1, 2)), truncation=5,
+            direction=_unit_direction(),
+        )
+        # a_n / a_1 = (n^2+3)/4 and gcd_n (n^2+3) = 1, so the group is (a_1/4) Z = Z/2
+        assert seq.q_certification() == ("lattice", Fraction(1, 2))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gcd_is_euclid_s(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            common = [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))] + [rng.choice((-3, 1, 2))]
+            a = _poly_mul(common, [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [1])
+            b = _poly_mul(common, [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [-2])
+            a, b = [int(c) for c in a], [int(c) for c in b]
+            assert measures._poly_gcd(a, b) == _poly_ext_gcd(a, b)[0]
+
+    @pytest.mark.parametrize("a, b", [([6], [0, 3, 1]), ([2, 1], [-4]), ([6], [-4]), ([1], [1])])
+    def test_gcd_with_a_constant_is_one(self, a, b):
+        assert measures._poly_gcd(a, b) == _poly_ext_gcd(a, b)[0] == [1]
 
 
 def _unit_direction():

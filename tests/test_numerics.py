@@ -87,6 +87,40 @@ class TestFractionalIdentity:
         assert abs(res.value - (-math.cos(0.3))) <= res.bound
 
 
+def _cosine_before(name, dimension):
+    """builtin_function's two cosines as separate definitions: (fn, grad_fn, dir2_fn, sups)."""
+    if name == "cos":
+        return (
+            lambda x: np.cos(x[..., 0]),
+            lambda x: numerics._e1_grad(-np.sin(x[0]), dimension),
+            lambda x, w: -np.cos(x[0]) * w[0] ** 2,
+            (1.0, 1.0, 1.0, 1.0, 1.0),
+        )
+    tp = 2 * math.pi
+    return (
+        lambda x: np.cos(tp * x[..., 0]),
+        lambda x: numerics._e1_grad(-tp * np.sin(tp * x[0]), dimension),
+        lambda x, w: -(tp**2) * np.cos(tp * x[0]) * w[0] ** 2,
+        (1.0, tp, tp**2, tp**3, tp**4),
+    )
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("name", ["cos", "cos2pi"])
+def test_one_cosine_keeps_every_bit(name, dimension):
+    u = builtin_function(name, dimension)
+    fn, grad_fn, dir2_fn, sups = _cosine_before(name, dimension)
+    assert (u.sup_u, u.sup_grad, u.sup_hess, u.sup_d3, u.sup_d4) == sups
+    rng = np.random.default_rng(dimension)
+    xs = rng.uniform(-50, 50, size=(200, dimension))
+    assert [v.hex() for v in u.fn(xs).tolist()] == [v.hex() for v in fn(xs).tolist()]
+    for x in xs:
+        w = rng.normal(size=dimension)
+        w /= np.linalg.norm(w)
+        assert [v.hex() for v in u.grad_fn(x).tolist()] == [v.hex() for v in grad_fn(x).tolist()]
+        assert float(u.dir2_fn(x, w)).hex() == float(dir2_fn(x, w)).hex()
+
+
 class TestMeanValue:
     def test_annihilates_harmonic(self):
         mu = load("mean_value.yaml")
