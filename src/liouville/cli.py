@@ -96,6 +96,16 @@ def _emit(report: Report, args) -> None:
         print(text)
 
 
+def _write_csv(path, header, rows) -> None:
+    """A header line and one line per row, each cell through `_fmt`, to path or stdout."""
+    text = "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _header(text: str) -> Report:
     """A report that starts with the tool version and the digest of the input spec."""
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -228,15 +238,13 @@ def cmd_counterexample(args) -> int:
     r.add("closed_form", ce.closed_form)
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-5, 5, size=(args.points, mu.dimension))
+    rows = [(*map(float, p), float(ce.value(p))) for p in pts]
     table = r.section("samples")
-    for p in pts:
-        table.add("x=(" + ", ".join(_fmt(float(c)) for c in p) + ")", float(ce.value(p)))
+    for *x, u in rows:
+        table.add("x=(" + ", ".join(map(_fmt, x)) + ")", u)
     _emit(r, args)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join([f"x{i+1}" for i in range(mu.dimension)] + ["u"]) + "\n")
-            for p in pts:
-                fh.write(",".join(_fmt(float(c)) for c in p) + f",{_fmt(float(ce.value(p)))}\n")
+        _write_csv(args.csv, [f"x{i+1}" for i in range(mu.dimension)] + ["u"], rows)
     return EXIT_FAILS
 
 
@@ -261,14 +269,7 @@ def cmd_propagate(args) -> int:
         probe = classify_propagation(state.prefix(probe_layers))
     else:  # --target-delta stopped the CSV run before the probe's layer count
         probe = density_probe(points, R=args.R, n_max=probe_layers, grid_div=args.grid_div)
-    rows = state.csv_rows()
-    out = ["n,points,delta"] + [f"{n},{size},{_fmt(delta)}" for n, size, delta in rows]
-    csv_text = "\n".join(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text + "\n")
-    else:
-        print(csv_text)
+    _write_csv(args.out, ["n", "points", "delta"], state.csv_rows())
     print(f"probe: {probe.verdict}", file=sys.stderr)
     if probe.g_estimate is not None:
         print(f"g_estimate: {_fmt(probe.g_estimate)}", file=sys.stderr)
@@ -297,24 +298,19 @@ def cmd_verify(args) -> int:
     worst = 0.0
     worst_bound = 0.0
     for p in pts:
-        res = eval_operator(ev, u, tuple(float(c) for c in p))
-        rows.append((p, res.value, res.bound))
+        x = tuple(map(float, p))
+        res = eval_operator(ev, u, x)
+        rows.append((*x, res.value, res.bound))
         worst = max(worst, abs(res.value))
         worst_bound = max(worst_bound, res.bound)
     r.add("max_abs_value", worst)
     r.add("max_bound", worst_bound)
     table = r.section("evaluations")
-    for p, v, b in rows:
-        table.add(
-            "x=(" + ", ".join(_fmt(float(c)) for c in p) + ")",
-            f"value {_fmt(v)} bound {_fmt(b)}",
-        )
+    for *x, v, b in rows:
+        table.add("x=(" + ", ".join(map(_fmt, x)) + ")", f"value {_fmt(v)} bound {_fmt(b)}")
     _emit(r, args)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join([f"x{i+1}" for i in range(mu.dimension)] + ["value", "bound"]) + "\n")
-            for p, v, b in rows:
-                fh.write(",".join(_fmt(float(c)) for c in p) + f",{_fmt(v)},{_fmt(b)}\n")
+        _write_csv(args.csv, [f"x{i+1}" for i in range(mu.dimension)] + ["value", "bound"], rows)
     return EXIT_HOLDS
 
 

@@ -10,7 +10,9 @@ form (Cassels, *An Introduction to Diophantine Approximation*, Ch. III):
 * the slices split into the finest rational direct-sum blocks (the components
   of their linear matroid, with the slices of one point kept together), and the
   closure is the direct sum of the closures of the blocks;
-* a 1-d block is a subgroup of a line and goes to `closure_1d`;
+* a rank-1 block is a subgroup of a rational line R*w: dense when two of its
+  points have an irrational ratio, and g*w otherwise (the line itself, d = 1,
+  is this block);
 * a wider block needs a constant alpha whose alpha * (rational) points span it.
   They generate a full-rank lattice alpha*L, and the closure is the dual of the
   annihilator {xi in L* : <xi, p/alpha> in Z for every other point p}, which
@@ -152,50 +154,6 @@ def scalar_direction_split(p: Point):
     return pivot.scale(Fraction(1, next(x for x in prim if x != 0))), prim
 
 
-# -- 1-d closure ---------------------------------------------------------------------
-
-
-def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
-    """Dense or g*Z: Remark-level trichotomy for subgroups of the line."""
-    if support.dimension != 1:
-        raise ClosureError("closure_1d requires dimension 1")
-    basis = _descriptor_basis(support)
-    if support.fills_ball:
-        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), Route.INTERVAL_OR_BALL)
-    if support.accumulation_points or support.directions:
-        # with no accumulation point, an unbounded-denominator sequence makes the line dense
-        acc = support.accumulation_points
-        witness = {"accumulation_points": acc} if acc else None
-        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), Route.ACCUMULATION, witness=witness)
-    # the positive support values, one per +- pair, sorted and distinct
-    scalars = []
-    for x in sorted((p[0] for p in support.finite_points if p[0].sign() > 0), key=float):
-        if not scalars or x != scalars[-1]:
-            scalars.append(x)
-    if not scalars:
-        return ClosedSubgroup(1, basis, (), (), Route.TRIVIAL)
-    a1 = scalars[0]
-    ratios = []
-    for b in scalars:
-        r = rational_ratio(a1, b)
-        if r is None:
-            return ClosedSubgroup(
-                1, basis, _unit_points(basis, 1), (), Route.IRRATIONAL_PAIR,
-                witness={"pair": (a1, b)},
-            )
-        ratios.append(r)
-    # the positive generator of the ratios' lattice: gcd of their numerators over one denominator
-    (ints,), den = rl.clear_denominators([ratios])
-    g = a1.scale(Fraction(math.gcd(*ints), den))
-    return ClosedSubgroup(1, basis, (), ((g,),), Route.LATTICE)
-
-
-def _descriptor_basis(support: SupportDescriptor) -> ConstantBasis:
-    for p in support.finite_points + support.directions:
-        return p[0].basis
-    return ConstantBasis()
-
-
 # -- rational lattices -----------------------------------------------------------------
 
 
@@ -216,18 +174,21 @@ def _rational_rows(points):
     return [[c.nums[0] * (den // c.den) for c in p] for p in points], den
 
 
-# -- multi-d closure ---------------------------------------------------------------
+# -- closure ------------------------------------------------------------------------
 
 
 def closure_multid(support: SupportDescriptor) -> ClosedSubgroup:
     """Exact closure V + lattice of the generated group; probe fallback otherwise."""
     d = support.dimension
-    if d == 1:
-        return closure_1d(support)
-    basis = _descriptor_basis(support)
+    basis = next((p[0].basis for p in support.finite_points + support.directions), ConstantBasis())
     full_v = _unit_points(basis, d)
     if support.fills_ball:
         return ClosedSubgroup(d, basis, full_v, (), Route.INTERVAL_OR_BALL)
+    if d == 1 and (support.accumulation_points or support.directions):
+        # with no accumulation point, an unbounded-denominator sequence makes the line dense
+        acc = support.accumulation_points
+        witness = {"accumulation_points": acc} if acc else None
+        return ClosedSubgroup(1, basis, full_v, (), Route.ACCUMULATION, witness=witness)
 
     # V from the dense directions, rationalized so reductions stay exact
     splits = [scalar_direction_split(v) for v in support.directions]
@@ -243,7 +204,7 @@ def closure_multid(support: SupportDescriptor) -> ClosedSubgroup:
         comp = _rational_complement(v_span, d)
         reduced = [y[len(v_span):] for y in _frame_coordinates(points, v_span + comp, basis)]
         points = [p for p in reduced if not point_is_zero(p)]
-    inner = _points_closure(basis, d - len(v_span), points)
+    inner = _points_closure(basis, d - len(v_span), points, d == 1)
     if inner is None:
         return _probe_closure(basis, support)
     v_basis, lam, route, witness = inner
@@ -259,11 +220,19 @@ def closure_multid(support: SupportDescriptor) -> ClosedSubgroup:
     return ClosedSubgroup(d, basis, v_basis, lam, route, witness=witness)
 
 
-def _points_closure(basis, d, points):
+def closure_1d(support: SupportDescriptor) -> ClosedSubgroup:
+    """Dense or g*Z: Remark-level trichotomy for subgroups of the line."""
+    if support.dimension != 1:
+        raise ClosureError("closure_1d requires dimension 1")
+    return closure_multid(support)
+
+
+def _points_closure(basis, d, points, on_line):
     """(v_basis, lambda_basis, route, witness) of the group the points generate.
 
-    None when some block has no full-rank alpha*L frame.  The witness is the
-    Kronecker block's when exactly one block needed the annihilator.
+    None when some block has no full-rank alpha*L frame.  The witness is the one
+    block's that has one: a Kronecker block's, or a line block's pair when the
+    ambient space is the line (on_line); elsewhere a pair is in block coordinates.
     """
     # one of p, -p: the one whose first nonzero coefficient is positive
     points = list(dict.fromkeys(
@@ -271,16 +240,14 @@ def _points_closure(basis, d, points):
     ))
     v_basis, lam, routes, witnesses = [], [], [Route.TRIVIAL], []
     for block, span in _rational_blocks(points, d):
-        if len(span) == 1:
-            part = _line_closure(basis, block, span[0])
-        else:
-            part = _annihilator_closure(basis, block, len(span))
-            if part is None:
-                return None
+        part = (_line_closure(basis, block, span[0]) if len(span) == 1
+                else _annihilator_closure(basis, block, len(span)))
+        if part is None:
+            return None
         v_basis += part[0]
         lam += part[1]
         routes.append(part[2])
-        if part[3] is not None:
+        if part[3] is not None and (on_line or len(span) > 1):
             witnesses.append(part[3])
     if not v_basis and all(is_rational_point(v) for v in lam):
         lam = lattice_hnf(lam)
@@ -327,17 +294,26 @@ def _rational_blocks(points, d):
 
 
 def _line_closure(basis, points, direction):
-    """Closure of points on the rational line through direction, by `closure_1d`."""
+    """Closure of the points t*w on the rational line R*w: the whole line or g*w.
+
+    With a1 the least |t| (distinct, as `_points_closure` keeps one of p, -p),
+    the line is dense iff some |t|/a1 is irrational (the witness pair); else g is
+    a1 times the gcd of the ratios over one denominator.
+    """
     w = rl.primitive(direction)
     if next(x for x in w if x != 0) < 0:
         w = [-x for x in w]
-    scalars = [t for (t,) in _frame_coordinates(points, [w], basis)]
-    sub = SupportDescriptor(dimension=1, finite_points=tuple((t,) for t in scalars + [-t for t in scalars]))
-    cl = closure_1d(sub)
-    if cl.is_full():
-        return [point_from_fractions(basis, w)], [], cl.route, None
-    g = cl.lambda_basis[0][0]
-    return [], [tuple(g.scale(x) for x in w)], cl.route, None
+    ts = [t for (t,) in _frame_coordinates(points, [w], basis)]
+    scalars = sorted((t if t.sign() > 0 else -t for t in ts), key=float)
+    a1, ratios = scalars[0], []
+    for b in scalars:
+        r = rational_ratio(a1, b)
+        if r is None:
+            return [point_from_fractions(basis, w)], [], Route.IRRATIONAL_PAIR, {"pair": (a1, b)}
+        ratios.append(r)
+    (ints,), den = rl.clear_denominators([ratios])
+    g = a1.scale(Fraction(math.gcd(*ints), den))
+    return [], [tuple(g.scale(x) for x in w)], Route.LATTICE, None
 
 
 def _annihilator_closure(basis, points, k):

@@ -541,7 +541,7 @@ def _eval_radial(ev, plan: _RadialPlan, u, x):
     i1, i2 = plan.inner.sums(integrand, True)
     o1, o2 = plan.outer.sums(integrand, False)
 
-    tail = 2.0 * u.sup_u * plan.mass_tail
+    tail = 2.0 * u.sup_u * plan.mass_tail if plan.mass_tail else 0.0  # no tail: an unbounded u adds 0
     quad_est = abs(i1 - i2) + abs(o1 - o2)
     value = core + i1 + o1
     return value, core_bound + tail + quad_est + 1e-14 * (1 + abs(value))
@@ -612,8 +612,8 @@ def propagate(
     """
     if not support_points:
         raise ValueError("propagate needs a nonempty finite support")
-    if R <= 0:
-        raise ValueError("window radius must be positive")
+    if not (R > 0 and math.isfinite(R)):
+        raise ValueError("window radius must be positive and finite")
     if n_max < 1:
         raise ValueError("propagation needs at least 1 layer")
     if grid_div < 1:

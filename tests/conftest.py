@@ -444,3 +444,76 @@ def _nearest(grid, points, bound):
 
     dist, _ = cKDTree(points).query(grid, distance_upper_bound=bound)
     return dist
+
+
+# -- the line closure that `closure.closure_1d` decided in its own body, before the line
+# became the rank-1 block of `closure_multid` --
+
+
+def _descriptor_basis(support):
+    from liouville.exactreal import ConstantBasis
+
+    for p in support.finite_points + support.directions:
+        return p[0].basis
+    return ConstantBasis()
+
+
+def reference_closure_1d(support):
+    """Oracle for `closure.closure_1d` on symmetric supports: its former body, unchanged.
+
+    It reads only the positive support values, so a support without the mirror of a
+    point (as a lattice sequence along a negative direction gave) loses that point.
+    """
+    from liouville import ratlinalg as rl
+    from liouville.closure import ClosedSubgroup, ClosureError, Route, _unit_points
+    from liouville.exactreal import rational_ratio
+
+    if support.dimension != 1:
+        raise ClosureError("closure_1d requires dimension 1")
+    basis = _descriptor_basis(support)
+    if support.fills_ball:
+        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), Route.INTERVAL_OR_BALL)
+    if support.accumulation_points or support.directions:
+        # with no accumulation point, an unbounded-denominator sequence makes the line dense
+        acc = support.accumulation_points
+        witness = {"accumulation_points": acc} if acc else None
+        return ClosedSubgroup(1, basis, _unit_points(basis, 1), (), Route.ACCUMULATION, witness=witness)
+    # the positive support values, one per +- pair, sorted and distinct
+    scalars = []
+    for x in sorted((p[0] for p in support.finite_points if p[0].sign() > 0), key=float):
+        if not scalars or x != scalars[-1]:
+            scalars.append(x)
+    if not scalars:
+        return ClosedSubgroup(1, basis, (), (), Route.TRIVIAL)
+    a1 = scalars[0]
+    ratios = []
+    for b in scalars:
+        r = rational_ratio(a1, b)
+        if r is None:
+            return ClosedSubgroup(
+                1, basis, _unit_points(basis, 1), (), Route.IRRATIONAL_PAIR,
+                witness={"pair": (a1, b)},
+            )
+        ratios.append(r)
+    # the positive generator of the ratios' lattice: gcd of their numerators over one denominator
+    (ints,), den = rl.clear_denominators([ratios])
+    g = a1.scale(Fraction(math.gcd(*ints), den))
+    return ClosedSubgroup(1, basis, (), ((g,),), Route.LATTICE)
+
+
+def reference_line_closure(basis, points, direction):
+    """Oracle for `closure._line_closure`: a 1-d descriptor of the +- scalars, by `reference_closure_1d`."""
+    from liouville import ratlinalg as rl
+    from liouville.closure import _frame_coordinates, point_from_fractions
+    from liouville.measures import SupportDescriptor
+
+    w = rl.primitive(direction)
+    if next(x for x in w if x != 0) < 0:
+        w = [-x for x in w]
+    scalars = [t for (t,) in _frame_coordinates(points, [w], basis)]
+    sub = SupportDescriptor(dimension=1, finite_points=tuple((t,) for t in scalars + [-t for t in scalars]))
+    cl = reference_closure_1d(sub)
+    if cl.is_full():
+        return [point_from_fractions(basis, w)], [], cl.route, None
+    g = cl.lambda_basis[0][0]
+    return [], [tuple(g.scale(x) for x in w)], cl.route, None

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -331,6 +332,30 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == "error: r0 must be positive and finite\n"
 
+    @pytest.mark.parametrize("name", ["discrete_laplacian.yaml", "nonuniform_grid_2d.yaml"])
+    @pytest.mark.parametrize("R", ["0", "nan", "inf"])
+    def test_propagate_rejects_a_window_that_is_not_positive_and_finite(self, capsys, name, R):
+        # nan and inf used to stop inside scipy: "data must be finite, check for nan or inf values"
+        code, out, err = run(capsys, "propagate", spec_path(name), "--R", R)
+        assert code == 2 and out == ""
+        assert err == "error: window radius must be positive and finite\n"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_verify_bounds_a_compact_kernel_for_an_unbounded_function(self, tmp_path, capsys, d):
+        # a ball_indicator kernel has no tail, so an unbounded u adds 0 (it used to add inf * 0 = nan)
+        spec = tmp_path / "ball.yaml"
+        spec.write_text(f"dimension: {d}\ncontinuous:\n  - {{kind: convolution, profile: ball_indicator, scale: 0.5}}\n")
+        code, out, _ = run(capsys, "verify", str(spec), "--function", "harmonic_xy", "--points", "2",
+                           "--format", "json", "--no-timestamp")
+        assert code == 0
+        report = json.loads(out)
+        rows = [line.split() for line in report["evaluations"].values()]
+        values, bounds = [float(r[1]) for r in rows], [float(r[3]) for r in rows]
+        assert len(bounds) == 2
+        for v, b in zip(values, bounds):
+            assert math.isfinite(b) and abs(v) <= b < 1e-12  # the exact value is 0: u is harmonic
+        assert report["max_bound"] == max(bounds)
+
     @pytest.mark.parametrize("command, name", [
         ("verify", "fractional.yaml"), ("counterexample", "discrete_laplacian.yaml")])
     @pytest.mark.parametrize("n", ["0", "-2"])
@@ -349,6 +374,60 @@ class TestOtherCommands:
         _, c, _ = run(capsys, *args, "--format", "json")
         doc = json.loads(c)
         assert doc["max_abs_value"] < 1e-10
+
+
+class TestCsvFiles:
+    """`--csv` and `--out` files, byte for byte: a header line, then one `_fmt`-joined line per row."""
+
+    CASES = {
+        "counterexample": (["counterexample", spec_path("kronecker_sqrt2_sqrt2.yaml"), "--no-timestamp",
+                            "--seed", "3", "--points", "3", "--csv"], (
+            "x1,x2,u\n"
+            "-4.1435083285637564,-2.631894934039003,-0.99733893555313713\n"
+            "3.0127446520639687,0.82162036064367783,0.36154735907587016\n"
+            "-4.0587135775960084,-0.66873059763526221,-0.77044507220998448\n")),
+        "verify-atoms": (["verify", spec_path("kronecker_sqrt2_sqrt2.yaml"), "--no-timestamp",
+                          "--seed", "1", "--points", "3", "--csv"], (
+            "x1,x2,value,bound\n"
+            "0.047286498801026866,1.8018547853037412,-2.6045933310458063,0\n"
+            "-1.4233615491214651,1.7945977885489754,-0.3830461216410268,0\n"
+            "-0.75267419195805818,-0.30669420410969739,-1.9031247105695623,0\n")),
+        "verify-quadrature": (["verify", spec_path("planar_fractional.yaml"), "--no-timestamp",
+                               "--seed", "1", "--points", "2", "--csv"], (
+            "x1,x2,value,bound\n"
+            "0.047286498801026866,1.8018547853037412,-0.99881860956055513,0.00012737560025442035\n"
+            "-1.4233615491214651,1.7945977885489754,-0.14689187369673812,0.00012733245480201679\n")),
+        "propagate": (["propagate", spec_path("sqrt2_pair.yaml"), "--R", "3", "--n-max", "4",
+                       "--grid-div", "20", "--out"], (
+            "n,points,delta\n"
+            "1,5,1.5857864376269049\n"
+            "2,13,0.25\n"
+            "3,25,0.20000000000000018\n"
+            "4,35,0.20000000000000018\n")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_file_bytes(self, tmp_path, capsys, case):
+        argv, want = self.CASES[case]
+        path = tmp_path / "out.csv"
+        assert main(argv + [str(path)]) in (cli.EXIT_HOLDS, cli.EXIT_FAILS)
+        capsys.readouterr()
+        assert path.read_bytes() == want.encode()
+
+
+class TestNegativeSequenceDirection:
+    def test_lattice_sequence_along_a_negative_direction_decides(self, tmp_path, capsys):
+        # the lattice point g * direction = (-1) has no mirror in the support; the closure
+        # used to read positive values only and failed to certify "2Z"
+        spec = tmp_path / "neg.yaml"
+        spec.write_text(
+            "dimension: 1\nsequences:\n  - template: poly_ratio\n    numerator: [\"1\", \"0\", \"1\"]\n"
+            "    denominator: [\"1\"]\n    weights: {kind: power, c: \"1\", s: 2}\n    truncation: 1\n"
+            "    direction: [\"-1\"]\n"
+        )
+        code, out, err = run(capsys, "decide", str(spec), "--no-timestamp")
+        assert code == 10 and err == ""
+        assert "lattice_basis_vector: (1)\n" in out and "c: (1)\n" in out
 
 
 class TestStrictSymmetryFlag:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liouville import closure
 from liouville import ratlinalg as rl
 from liouville.closure import (
     ClosedSubgroup,
@@ -27,8 +30,11 @@ from liouville.closure import (
     _separation,
 )
 from liouville.exactreal import ConstantBasis, NotRepresentableError
-from liouville.measures import SupportDescriptor, parse_measure, support_of
-from conftest import PI_50, SQRT2_50, SQRT3_50, coefficient_bounds, coords, er, rational, spec_path
+from liouville.measures import SupportDescriptor, group_support, parse_measure, support_of
+from conftest import (
+    PI_50, SPEC_DIR, SQRT2_50, SQRT3_50, coefficient_bounds, coords, er, rational, reference_closure_1d,
+    reference_line_closure, spec_path,
+)
 
 
 def load(name):
@@ -923,3 +929,152 @@ class TestFrameCoordinates:
             probes = atoms + [tuple(c.scale(Fraction(1, 2)) for c in p) for p in atoms]
             for g in (group, ortho):
                 assert _coset_keys(probes, g) == [block_coset_coordinates(p, g) for p in probes], name
+
+
+# -- the line is the rank-1 block: differential tests against the former 1-d algorithm --
+
+
+LINE_BASES = (
+    ConstantBasis(),
+    ConstantBasis(("pi",), (PI_50,)),
+    ConstantBasis(("sqrt2", "sqrt3"), (SQRT2_50, SQRT3_50)),
+)
+
+
+def random_scalar(rng, basis):
+    """A nonzero q0 + q1*c1 + ... with small rational q_k, rational about half the time."""
+    while True:
+        qs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))] + [
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else 0 for _ in basis.names
+        ]
+        x = er(basis, *qs)
+        if not x.is_zero():
+            return x
+
+
+def line_values(rng, basis, kind):
+    """Nonzero values on a line: rational multiples of one scalar, plus what `kind` adds."""
+    a = random_scalar(rng, basis)
+    values = [a] + [a.scale(Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 6)))
+                    for _ in range(rng.randint(0, 4))]
+    if kind == "pair":
+        values.append(random_scalar(rng, basis))
+    elif kind == "mixed" and basis.size:
+        # sums such as 1 + pi and 2 + pi: dense, unless the two sums are proportional
+        c = basis.constant(basis.names[0])
+        values = [c + basis.from_rational(k) for k in rng.sample(range(-3, 4), rng.randint(1, 3))]
+        values += [v.scale(rng.randint(-3, 3) or 2) for v in values[: rng.randint(0, 2)]]
+    return values
+
+
+def symmetric_points(rng, points, zero):
+    """Each point with its mirror, some twice, a few origins, in a seeded order."""
+    pts = [q for p in points for q in (p, tuple(-c for c in p))]
+    pts += rng.sample(pts, rng.randint(0, min(2, len(pts))))
+    pts += [zero] * rng.randint(0, 1)
+    rng.shuffle(pts)
+    return tuple(pts)
+
+
+def random_line_support(rng):
+    basis = rng.choice(LINE_BASES)
+    kind = rng.choice(("lattice", "lattice", "pair", "mixed", "empty", "accumulating", "unbounded", "ball"))
+    zero = (basis.zero(),)
+    if kind == "empty":
+        return SupportDescriptor(dimension=1, finite_points=(zero,) * rng.randint(0, 1))
+    pts = symmetric_points(rng, [(v,) for v in line_values(rng, basis, kind)], zero)
+    if kind == "accumulating":
+        acc = rng.choice([zero, (random_scalar(rng, basis),)])
+        acc_points = tuple(dict.fromkeys([acc, (-acc[0],)]))
+        return SupportDescriptor(1, pts, accumulation_points=acc_points, directions=((basis.one(),),))
+    if kind == "unbounded":
+        return SupportDescriptor(1, pts, directions=((random_scalar(rng, basis),),))
+    return SupportDescriptor(1, pts, fills_ball=kind == "ball")
+
+
+def random_block_support(rng, d):
+    """Rank-1 line blocks beside Kronecker blocks, along a random rational frame, with an
+    optional dense direction that the points are taken modulo."""
+    basis = rng.choice(LINE_BASES[1:])
+    while True:
+        frame = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        if rl.rank(frame) == d:
+            break
+    zero = (basis.zero(),) * d
+
+    def at(coeffs):  # sum of coeffs[j] * frame[j]
+        return tuple(sum((c.scale(b[i]) for c, b in zip(coeffs, frame)), basis.zero()) for i in range(d))
+
+    points, directions, j = [], [], 0
+    if rng.random() < 0.4:  # a dense direction along frame[0]
+        directions.append(at([random_scalar(rng, basis)] + [basis.zero()] * (d - 1)))
+        j = 1
+    while j < d:
+        width = 1 if j == d - 1 or rng.random() < 0.6 else 2
+        if width == 1:
+            kind = rng.choice(("lattice", "pair", "mixed"))
+            points += [at([basis.zero()] * j + [v] + [basis.zero()] * (d - j - 1))
+                       for v in line_values(rng, basis, kind)]
+        else:  # a Kronecker block on frame[j], frame[j + 1]: its frame and one more point
+            e = [basis.one(), basis.zero()]
+            for coeffs in ([e[0], e[1]], [e[1], e[0]], [random_scalar(rng, basis), random_scalar(rng, basis)]):
+                points.append(at([basis.zero()] * j + coeffs + [basis.zero()] * (d - j - 2)))
+        j += width
+    if directions:  # move the points off V by multiples of the dense direction
+        shifts = [at([random_scalar(rng, basis)] + [basis.zero()] * (d - 1)) for _ in points]
+        points = [tuple(map(operator.add, p, s)) if rng.random() < 0.7 else p for p, s in zip(points, shifts)]
+    return SupportDescriptor(d, symmetric_points(rng, points, zero), directions=tuple(directions))
+
+
+def summary(cl):
+    return cl.route, cl.v_basis, cl.lambda_basis, cl.witness
+
+
+class TestLineIsTheRankOneBlock:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_line_matches_the_former_1d_closure(self, seed):
+        rng = random.Random(9000 + seed)
+        routes = set()
+        for _ in range(300):
+            desc = random_line_support(rng)
+            cl = closure_multid(desc)
+            assert summary(cl) == summary(reference_closure_1d(desc)), desc
+            assert closure_1d(desc) == cl
+            routes.add(cl.route)
+        assert routes == {Route.TRIVIAL, Route.LATTICE, Route.IRRATIONAL_PAIR, Route.ACCUMULATION,
+                          Route.INTERVAL_OR_BALL}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_match_the_former_line_closure(self, monkeypatch, seed):
+        rng = random.Random(9100 + seed)
+        routes = set()
+        for i in range(200):
+            desc = random_block_support(rng, 2 + i % 2)
+            cl = closure_multid(desc)
+            with monkeypatch.context() as m:
+                m.setattr(closure, "_line_closure", reference_line_closure)
+                assert summary(cl) == summary(closure_multid(desc)), desc
+            assert cl.is_certified()
+            routes.add(cl.route)
+        assert routes == {Route.LATTICE, Route.IRRATIONAL_PAIR, Route.KRONECKER}
+
+    @pytest.mark.parametrize("spec", [f for f in sorted(os.listdir(SPEC_DIR)) if load(f).dimension == 1])
+    def test_closure_1d_is_closure_multid_on_1d_specs(self, spec):
+        desc = group_support(load(spec))
+        assert closure_1d(desc) == closure_multid(desc)
+        assert summary(closure_1d(desc)) == summary(reference_closure_1d(desc))
+
+    def test_a_pair_names_only_an_ambient_line(self, pi_basis):
+        one, pi = er(pi_basis, 1, 0), er(pi_basis, 0, 1)
+        line = closure_multid(SupportDescriptor(1, ((one,), (-one,), (pi,), (-pi,))))
+        assert line.route == Route.IRRATIONAL_PAIR and line.witness == {"pair": (one, pi)}
+        # the same pair on the first axis of the plane, beside a lattice on the second
+        zero = pi_basis.zero()
+        plane = closure_multid(SupportDescriptor(2, ((one, zero), (pi, zero), (zero, one))))
+        assert plane.route == Route.IRRATIONAL_PAIR and plane.v_dim == 1
+        assert plane.witness is None
+
+    def test_a_point_without_its_mirror_generates_its_group(self, plain_basis):
+        # the former 1-d closure read positive values only and called this group trivial
+        cl = closure_1d(SupportDescriptor(1, ((er(plain_basis, -2),),)))
+        assert cl.route == Route.LATTICE and cl.lambda_basis == ((er(plain_basis, 2),),)
