@@ -22,7 +22,7 @@ from .closure import (
 )
 from .decider import LiouvilleVerdict, decide, decide_1d
 from .counterexample import Counterexample, build_counterexample
-# numerics imports scipy, so it loads on first access: the exact commands never need it
+# numerics imports numpy, so it loads on first access: the exact commands never need it
 _NUMERICS = ("OperatorEvaluator", "PropagationState", "density_probe", "propagate")
 
 __all__ = [

@@ -295,16 +295,13 @@ def cmd_verify(args) -> int:
     r.add("function", args.function)
     r.add("r0", args.r0)
     rows = []
-    worst = 0.0
-    worst_bound = 0.0
     for p in pts:
         x = tuple(map(float, p))
         res = eval_operator(ev, u, x)
         rows.append((*x, res.value, res.bound))
-        worst = max(worst, abs(res.value))
-        worst_bound = max(worst_bound, res.bound)
-    r.add("max_abs_value", worst)
-    r.add("max_bound", worst_bound)
+    values, bounds = np.array([row[-2:] for row in rows]).T
+    r.add("max_abs_value", float(np.max(np.abs(values))))  # a nan row makes its maximum nan
+    r.add("max_bound", float(np.max(bounds)))
     table = r.section("evaluations")
     for *x, v, b in rows:
         table.add("x=(" + ", ".join(map(_fmt, x)) + ")", f"value {_fmt(v)} bound {_fmt(b)}")

@@ -6,6 +6,8 @@ R_SWITCH (avoids catastrophic cancellation of the compensated integrand),
 log-spaced Simpson up to the split radius r0, and linear Simpson beyond it so
 oscillatory integrands stay resolved.  Every evaluation reports an error
 bound: analytic tails plus embedded half-resolution quadrature estimates.
+Kernel constants take Gamma from `_gamma`; scipy is imported only where it is
+used: the relativistic kernel's Bessel K and the probes' k-d trees.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .exactreal import ExtendedRational, basis_floats
 from .measures import (
@@ -102,12 +103,39 @@ def _e1_grad(v, d):
 # -- radial kernels ---------------------------------------------------------------
 
 
+# Cephes' rational approximation of Gamma on [2, 3), leading coefficient first (S. L.
+# Moshier, "Methods and Programs for Mathematical Functions", 1989), as scipy.special runs it
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x), -1 < x <= 33, x != 0: the bits scipy.special.gamma returns (Cephes' Gamma)."""
+    if not -1 < x <= 33 or x == 0:
+        raise ValueError(f"Gamma is evaluated on (-1, 0) and (0, 33] only, not at {x}")
+    z = 1.0
+    while x >= 3:
+        x -= 1
+        z *= x
+    while x < 2:
+        if abs(x) < 1e-9:  # Cephes' form near a pole
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1
+    t, p, q = x - 2, 0.0, 0.0
+    for c in _GAMMA_P:  # Horner, as Cephes' polevl; at x = 2 both polynomials are 1.0
+        p = p * t + c
+    for c in _GAMMA_Q:
+        q = q * t + c
+    return z * p / q
+
+
 def fractional_constant(d: int, alpha: float) -> float:
-    return (
-        2.0**alpha
-        * special.gamma((d + alpha) / 2)
-        / (math.pi ** (d / 2) * abs(special.gamma(-alpha / 2)))
-    )
+    return 2.0**alpha * _gamma((d + alpha) / 2) / (math.pi ** (d / 2) * abs(_gamma(-alpha / 2)))
 
 
 class _RadialKernel:
@@ -126,16 +154,20 @@ class _RadialKernel:
             self.c = part.coefficient
             self.nu = (d + part.alpha) / 2
             self.m = part.m
+            if self.m**self.nu == 0:  # moment2_core's cap divides by m^nu
+                raise ValueError(f"relativistic m = {self.m} is too small for dimension {d}")
         elif isinstance(part, ConvolutionPart):
             self.kind = part.profile
             self.scale = part.scale
             self.alpha = 0.0
             s = part.scale
+            if s**d == 0:  # the density's constant has the factor 1 / s^d
+                raise ValueError(f"convolution scale {s} is too small for dimension {d}")
             if part.profile == "gaussian":
                 self.c = 1.0 / (s**d * math.pi ** (d / 2))
             elif part.profile == "exponential":
                 area = sphere_area(d)
-                self.c = 1.0 / (area * special.gamma(d) * s**d)
+                self.c = 1.0 / (area * _gamma(d) * s**d)
             else:  # ball_indicator
                 self.c = 1.0 / (sphere_area(d) / d * s**d)
         else:
@@ -146,7 +178,8 @@ class _RadialKernel:
         if self.kind == "fractional":
             return self.c * r ** (-(self.d + self.alpha))
         if self.kind == "relativistic":
-            return self.c * special.kv(self.nu, self.m * r) / r**self.nu
+            from scipy.special import kv  # the only kernel that needs scipy
+            return self.c * kv(self.nu, self.m * r) / r**self.nu
         if self.kind == "gaussian":
             return self.c * np.exp(-((r / self.scale) ** 2))
         if self.kind == "exponential":
@@ -161,7 +194,7 @@ class _RadialKernel:
         val = rule.integrate(lambda r: r ** (self.d + 1) * self.density(r))
         if self.kind == "relativistic":
             # K_nu(z) <= Gamma(nu) 2^{nu-1} z^{-nu}: fractional-type closed bound
-            cap = self.c * special.gamma(self.nu) * 2 ** (self.nu - 1) / self.m**self.nu
+            cap = self.c * _gamma(self.nu) * 2 ** (self.nu - 1) / self.m**self.nu
             below = cap * (1e-12) ** (2 - self.alpha) / (2 - self.alpha)
             return val, below
         # bounded kernels: the missing sliver below 1e-12 is k(0) * r^{d+2}/(d+2)
@@ -195,7 +228,7 @@ class _RadialKernel:
 
 
 def sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2) / special.gamma(d / 2)
+    return 2.0 * math.pi ** (d / 2) / _gamma(d / 2)
 
 
 class _Simpson:

@@ -11,7 +11,7 @@ import pytest
 import liouville
 from liouville import cli, numerics
 from liouville.cli import main
-from liouville.measures import parse_measure, support_of
+from liouville.measures import RelativisticPart, parse_measure, support_of
 from conftest import SPEC_DIR, spec_path
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -356,6 +356,30 @@ class TestOtherCommands:
             assert math.isfinite(b) and abs(v) <= b < 1e-12  # the exact value is 0: u is harmonic
         assert report["max_bound"] == max(bounds)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_max_lines_keep_a_nan_row(self, capsys):
+        # the fractional density overflows at the outer zone's first node; the maxima used to read 0
+        code, out, _ = run(capsys, "verify", spec_path("fractional.yaml"), "--points", "2",
+                           "--r0", "1e-300", "--no-timestamp")
+        assert code == 0
+        lines = out.splitlines()
+        assert "max_abs_value: nan" in lines and "max_bound: nan" in lines
+        assert sum(line.endswith("value nan bound nan") for line in lines) == 2
+
+    @pytest.mark.parametrize("entry, message", [
+        ("{kind: convolution, profile: gaussian, scale: 1e-200}", "convolution scale 1e-200"),
+        ("{kind: convolution, profile: exponential, scale: 1e-200}", "convolution scale 1e-200"),
+        ("{kind: convolution, profile: ball_indicator, scale: 1e-200}", "convolution scale 1e-200"),
+        ("{kind: relativistic, alpha: 1.0, m: 1e-300}", "relativistic m = 1e-300"),
+    ])
+    def test_verify_rejects_a_kernel_too_narrow_for_floats(self, tmp_path, capsys, entry, message):
+        # 1/s^3 and 1/m^2 underflow to 1/0: a ZeroDivisionError for the gaussian, nan rows otherwise
+        spec = tmp_path / "narrow.yaml"
+        spec.write_text(f"dimension: 3\ncontinuous:\n  - {entry}\n")
+        code, out, err = run(capsys, "verify", str(spec), "--points", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {message} is too small for dimension 3\n"
+
     @pytest.mark.parametrize("command, name", [
         ("verify", "fractional.yaml"), ("counterexample", "discrete_laplacian.yaml")])
     @pytest.mark.parametrize("n", ["0", "-2"])
@@ -475,7 +499,8 @@ print(sum(v[1] for (path, _, name), v in stats.items()
 
 
 class TestLazyImports:
-    """The exact commands never load scipy or `liouville.numerics`; no command loads mpmath."""
+    """The exact commands never load scipy or `liouville.numerics`; no command loads mpmath.
+    scipy loads only for the Bessel kernel (scipy.special) and the k-d tree (scipy.spatial)."""
 
     def test_exact_commands_skip_scipy_and_numerics(self):
         specs = sorted(os.path.join(SPEC_DIR, f) for f in os.listdir(SPEC_DIR) if f.endswith(".yaml"))
@@ -500,6 +525,41 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps(["liouville.numerics" in sys.modules, "mpmath" in sys.modules]))
 """)
         assert json.loads(out) == [True, False]
+
+    @staticmethod
+    def verify_in_fresh_interpreter(specs):
+        """(exit codes, the scipy modules loaded) after `verify` on each spec in one process."""
+        return json.loads(_fresh_interpreter(f"""
+import contextlib, io, json, sys
+from liouville.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["verify", spec, "--points", "1"]) for spec in {specs!r}]
+print(json.dumps([codes, [m for m in ("scipy", "scipy.special", "scipy.spatial") if m in sys.modules]]))
+"""))
+
+    def test_verify_loads_scipy_only_for_a_relativistic_part(self):
+        def has_bessel_kernel(name):
+            with open(spec_path(name)) as fh:
+                return any(isinstance(p, RelativisticPart) for p in parse_measure(fh.read()).continuous)
+
+        specs = sorted(f for f in os.listdir(SPEC_DIR) if f.endswith(".yaml"))
+        assert [f for f in specs if has_bessel_kernel(f)] == ["relativistic.yaml"]
+        plain = [spec_path(f) for f in specs if not has_bessel_kernel(f)]
+        assert self.verify_in_fresh_interpreter(plain) == [[0] * len(plain), []]
+        codes, loaded = self.verify_in_fresh_interpreter([spec_path("relativistic.yaml")])
+        assert codes == [0] and {"scipy", "scipy.special"} <= set(loaded)
+
+    def test_numerics_loads_scipy_when_propagate_runs(self):
+        out = _fresh_interpreter(f"""
+import json, sys
+from liouville import OperatorEvaluator, parse_measure, propagate, support_of
+with open({spec_path("sqrt2_pair.yaml")!r}) as fh:
+    points = list(support_of(parse_measure(fh.read())).finite_points)
+before = "scipy" in sys.modules
+propagate(points, R=2.0, n_max=3)
+print(json.dumps([before, "scipy.spatial" in sys.modules]))
+""")
+        assert json.loads(out) == [False, True]
 
     @pytest.mark.parametrize("command, spec", [
         ("decide", "fractional.yaml"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, spatial
+from scipy import integrate, spatial, special
 
 from liouville.decider import decide
 from liouville.exactreal import ConstantBasis
@@ -85,6 +85,44 @@ class TestFractionalIdentity:
         u = builtin_function("cos", 1)
         res = eval_operator(OperatorEvaluator(measure=mu), u, (0.3,))
         assert abs(res.value - (-math.cos(0.3))) <= res.bound
+
+
+def _same_bits(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+class TestGamma:
+    """`_gamma` returns the bits of scipy.special.gamma, so kernel constants are unchanged."""
+
+    def test_matches_scipy_on_its_whole_domain(self):
+        rng = np.random.default_rng(2026)
+        xs = np.concatenate([
+            rng.uniform(-1, 33, 100_000),
+            rng.uniform(-1, 3, 20_000),
+            rng.uniform(-1e-8, 1e-8, 2_000),  # around Cephes' switch to its pole form at |x| < 1e-9
+            -1 + rng.uniform(0, 1e-8, 2_000),  # reaches that form after one recurrence step
+            np.arange(1, 34), np.arange(-1, 66) / 2 + 0.5, [33.0, np.nextafter(-1, 0)],
+        ])
+        xs = xs[(xs > -1) & (xs <= 33) & (xs != 0)]
+        assert xs.size > 124_000
+        assert _same_bits([numerics._gamma(float(x)) for x in xs], special.gamma(xs))
+
+    def test_matches_scipy_on_every_kernel_argument(self):
+        alphas = np.concatenate([np.linspace(0, 2, 4001)[1:-1], [1e-12, 1e-9, 2e-9, 2 - 1e-12]])
+        args = [a for alpha in alphas for k in (1, 2, 3) for a in ((k + alpha) / 2, -alpha / 2)]
+        args += [k / 2 for k in (1, 2, 3)] + [k for k in (1, 2, 3)]
+        assert _same_bits([numerics._gamma(float(a)) for a in args], special.gamma(args))
+        for d in (1, 2, 3):
+            ref = [2.0**a * special.gamma((d + a) / 2) / (math.pi ** (d / 2) * abs(special.gamma(-a / 2)))
+                   for a in alphas]
+            assert _same_bits([fractional_constant(d, float(a)) for a in alphas], ref)
+            assert _same_bits(sphere_area(d), 2.0 * math.pi ** (d / 2) / special.gamma(d / 2))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -1.5, -7.25, 33.5, 171.0, math.nan, math.inf, -math.inf])
+    def test_rejects_arguments_outside_its_domain(self, x):
+        with pytest.raises(ValueError, match="Gamma is evaluated on"):
+            numerics._gamma(x)
 
 
 def _cosine_before(name, dimension):
